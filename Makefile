@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos fuzz fuzz-merge bench bench-inference bench-train bench-router bench-retrieve bench-obs serve fleet canary loadtest profile
+.PHONY: check vet build test race chaos fuzz fuzz-merge bench perfbench bench-inference bench-train bench-router bench-retrieve bench-obs serve fleet canary loadtest profile
 
 check: vet build race
 
@@ -46,6 +46,19 @@ fuzz-merge:
 # Every benchmark (tables, figures, kernels); slow.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# The repository's benchmark (perfbench/ and BENCHMARK.json): each
+# workload once through perfbench/run.sh, which builds this checkout into
+# the git-ignored .bench_build/ and checks every output against its
+# oracle. Metrics are defined in perfbench/METRICS.md. Override the input
+# seed and the measured seconds per run, e.g. `make perfbench SEED=3
+# SECONDS=5`.
+SEED ?= 1
+SECONDS ?= 20
+perfbench:
+	@for w in serve_cold fleet_hot design_pipeline; do \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) || exit 1; \
+	done
 
 # Regenerate BENCH_inference.json: the naive full-recompute beam search vs
 # the tape-free flat-kernel fast path, the 17-design parallel fan-out, and

@@ -82,116 +82,125 @@ type grid struct {
 	// vUse[y*bx+x] is usage of the edge from bin (x,y) to (x,y+1).
 	vUse []int
 	cap  int
+	// overflow is the summed capacity excess over all edges, kept current
+	// by apply so rip-up never rescans the grid.
+	overflow int
 }
 
 func newGrid(bx, by, cap int) *grid {
 	return &grid{bx: bx, by: by, hUse: make([]int, bx*by), vUse: make([]int, bx*by), cap: cap}
 }
 
-// segment is one horizontal or vertical run of a route.
+// segment is one horizontal or vertical run of a route, starting at its
+// lowest-coordinate bin.
 type segment struct {
 	x, y, len int
 	horiz     bool
 }
 
-// route is the list of segments of one two-pin connection.
-type route struct {
-	segs []segment
+// hSeg is the horizontal run between columns xa and xb on row y.
+func hSeg(xa, xb, y int) segment {
+	return segment{x: min(xa, xb), y: y, len: absInt(xb - xa), horiz: true}
 }
 
-func (g *grid) apply(r route, delta int) {
-	for _, s := range r.segs {
-		x, y := s.x, s.y
-		for i := 0; i < s.len; i++ {
-			if s.horiz {
-				g.hUse[y*g.bx+x] += delta
-				x++
-			} else {
-				g.vUse[y*g.bx+x] += delta
-				y++
-			}
+// vSeg is the vertical run between rows ya and yb in column x.
+func vSeg(ya, yb, x int) segment {
+	return segment{x: x, y: min(ya, yb), len: absInt(yb - ya)}
+}
+
+// edges returns the usage slice holding s's edges, the index of its first
+// edge and the index step between consecutive edges.
+func (g *grid) edges(s segment) (use []int, i, step int) {
+	if s.horiz {
+		return g.hUse, s.y*g.bx + s.x, 1
+	}
+	return g.vUse, s.y*g.bx + s.x, g.bx
+}
+
+// route is the path of one two-pin connection: three runs, some of them
+// empty (an L route has at most two non-empty runs). It is a fixed-size
+// value so that routing allocates nothing per connection or candidate.
+type route [3]segment
+
+func (r *route) length() int {
+	return r[0].len + r[1].len + r[2].len
+}
+
+// lRoute builds one of the two L-shaped routes between bins: the route
+// whose middle run lies on the sink's column (horizFirst) or row, so that
+// its last run is empty.
+func lRoute(x1, y1, x2, y2 int, horizFirst bool) route {
+	return zRoute(x1, y1, x2, y2, lBend(x2, y2, horizFirst), horizFirst)
+}
+
+// lBend is the middle column (horizFirst) or row of an L route to (x2, y2).
+func lBend(x2, y2 int, horizFirst bool) int {
+	if horizFirst {
+		return x2
+	}
+	return y2
+}
+
+// zRoute builds the route through intermediate column m (horizFirst) or
+// row m: a Z-shaped detour, or an L route when m is lBend.
+func zRoute(x1, y1, x2, y2, m int, horizFirst bool) route {
+	if horizFirst {
+		return route{hSeg(x1, m, y1), vSeg(y1, y2, m), hSeg(m, x2, y2)}
+	}
+	return route{vSeg(y1, m, x1), hSeg(x1, x2, m), vSeg(m, y2, x2)}
+}
+
+func (g *grid) apply(r *route, delta int) {
+	for _, s := range r {
+		use, i, step := g.edges(s)
+		for k := 0; k < s.len; k++ {
+			g.overflow -= max(use[i]-g.cap, 0)
+			use[i] += delta
+			g.overflow += max(use[i]-g.cap, 0)
+			i += step
 		}
 	}
 }
 
-// cost computes the congestion-aware cost of a route.
-func (g *grid) cost(r route, congWeight float64) float64 {
-	c := 0.0
-	for _, s := range r.segs {
-		x, y := s.x, s.y
-		for i := 0; i < s.len; i++ {
-			var use int
-			if s.horiz {
-				use = g.hUse[y*g.bx+x]
-				x++
-			} else {
-				use = g.vUse[y*g.bx+x]
-				y++
-			}
-			c++
-			if over := float64(use+1) - float64(g.cap); over > 0 {
-				c += congWeight * over * over
-			} else {
-				c += congWeight * float64(use) / float64(g.cap) * 0.3
-			}
+// segCost adds the congestion-aware cost of s's edges, lowest first, to
+// the running cost c. Every route cost is this one running sum taken in
+// segment order, so a candidate costed from its endpoints (zCost) is
+// bit-identical to the cost of the materialised route.
+func (g *grid) segCost(c float64, s segment, congWeight float64) float64 {
+	use, i, step := g.edges(s)
+	for k := 0; k < s.len; k++ {
+		u := use[i]
+		i += step
+		c++
+		if over := float64(u+1) - float64(g.cap); over > 0 {
+			c += congWeight * over * over
+		} else {
+			c += congWeight * float64(u) / float64(g.cap) * 0.3
 		}
 	}
 	return c
 }
 
-// lRoute builds one of the two L-shaped routes between bins.
-func lRoute(x1, y1, x2, y2 int, horizFirst bool) route {
-	var r route
-	addH := func(xa, xb, y int) {
-		if xa == xb {
-			return
-		}
-		if xa > xb {
-			xa, xb = xb, xa
-		}
-		r.segs = append(r.segs, segment{x: xa, y: y, len: xb - xa, horiz: true})
+// cost computes the congestion-aware cost of a route.
+func (g *grid) cost(r *route, congWeight float64) float64 {
+	c := 0.0
+	for _, s := range r {
+		c = g.segCost(c, s, congWeight)
 	}
-	addV := func(ya, yb, x int) {
-		if ya == yb {
-			return
-		}
-		if ya > yb {
-			ya, yb = yb, ya
-		}
-		r.segs = append(r.segs, segment{x: x, y: ya, len: yb - ya, horiz: false})
-	}
-	if horizFirst {
-		addH(x1, x2, y1)
-		addV(y1, y2, x2)
-	} else {
-		addV(y1, y2, x1)
-		addH(x1, x2, y2)
-	}
-	return r
+	return c
 }
 
-// zRoute builds a Z-shaped detour through intermediate column/row m.
-func zRoute(x1, y1, x2, y2, m int, horizFirst bool) route {
-	var r route
+// zCost is g.cost of zRoute(x1, y1, x2, y2, m, horizFirst), without
+// building it.
+func (g *grid) zCost(x1, y1, x2, y2, m int, horizFirst bool, w float64) float64 {
 	if horizFirst {
-		// x1→m at y1, y1→y2 at m, m→x2 at y2.
-		a := lRoute(x1, y1, m, y2, true)
-		b := lRoute(m, y2, x2, y2, true)
-		r.segs = append(a.segs, b.segs...)
-	} else {
-		a := lRoute(x1, y1, x2, m, false)
-		b := lRoute(x2, m, x2, y2, false)
-		r.segs = append(a.segs, b.segs...)
+		c := g.segCost(0, hSeg(x1, m, y1), w)
+		c = g.segCost(c, vSeg(y1, y2, m), w)
+		return g.segCost(c, hSeg(m, x2, y2), w)
 	}
-	return r
-}
-
-func (r route) length() int {
-	n := 0
-	for _, s := range r.segs {
-		n += s.len
-	}
-	return n
+	c := g.segCost(0, vSeg(y1, m, x1), w)
+	c = g.segCost(c, hSeg(x1, x2, m), w)
+	return g.segCost(c, vSeg(m, y2, x2), w)
 }
 
 // conn is one driver→sink two-pin connection.
@@ -200,6 +209,45 @@ type conn struct {
 	x1, y1, x2, y2 int
 	r              route
 	detoured       bool
+}
+
+// reroute replaces c's route (already ripped up from g) with the cheapest
+// of: the route itself, the two L routes, and every Z route through a
+// column or row of the bounding box widened by opt.Expansion. Detours pay
+// opt.DetourPenalty per bin beyond the Manhattan length; the incumbent is
+// costed without it. Only the winner is materialised into c.
+func (c *conn) reroute(g *grid, opt Options) {
+	w := opt.CongestionWeight
+	x1, y1, x2, y2 := c.x1, c.y1, c.x2, c.y2
+	md := manhattan(x1, y1, x2, y2)
+	// Only a strictly cheaper candidate replaces the best so far, so ties
+	// keep the earlier one.
+	bestCost, bestHF, bestM, moved := g.cost(&c.r, w), false, 0, false
+	offer := func(hf bool, m, length int) {
+		cost := g.zCost(x1, y1, x2, y2, m, hf, w) + opt.DetourPenalty*float64(length-md)
+		if cost < bestCost {
+			bestCost, bestHF, bestM, moved = cost, hf, m, true
+		}
+	}
+	for _, hf := range [2]bool{true, false} {
+		offer(hf, lBend(x2, y2, hf), md)
+	}
+	for m := min(x1, x2) - opt.Expansion; m <= max(x1, x2)+opt.Expansion; m++ {
+		if m < 0 || m >= g.bx || m == x1 || m == x2 {
+			continue
+		}
+		offer(true, m, absInt(x1-m)+absInt(y1-y2)+absInt(m-x2))
+	}
+	for m := min(y1, y2) - opt.Expansion; m <= max(y1, y2)+opt.Expansion; m++ {
+		if m < 0 || m >= g.by || m == y1 || m == y2 {
+			continue
+		}
+		offer(false, m, absInt(y1-m)+absInt(x1-x2)+absInt(m-y2))
+	}
+	if moved {
+		c.r = zRoute(x1, y1, x2, y2, bestM, bestHF)
+		c.detoured = bestM != lBend(x2, y2, bestHF)
+	}
 }
 
 // Route globally routes all signal nets of nl at the placement pl.
@@ -235,75 +283,47 @@ func routeImpl(nl *netlist.Netlist, pl *placer.Result, opt Options) (*Result, *g
 	g := newGrid(pl.BinsX, pl.BinsY, cap)
 
 	// Build two-pin connections (star model per net).
-	var conns []*conn
+	n := 0
 	for id := range nl.Cells {
+		n += len(nl.Cells[id].Fanouts)
+	}
+	conns := make([]conn, 0, n)
+	for id := range nl.Cells {
+		x1, y1 := pl.BinOf(pl.X[id], pl.Y[id])
 		for _, s := range nl.Cells[id].Fanouts {
-			x1, y1 := pl.BinOf(pl.X[id], pl.Y[id])
 			x2, y2 := pl.BinOf(pl.X[s], pl.Y[s])
-			conns = append(conns, &conn{driver: id, sink: s, x1: x1, y1: y1, x2: x2, y2: y2})
+			conns = append(conns, conn{driver: id, sink: s, x1: x1, y1: y1, x2: x2, y2: y2})
 		}
 	}
 
-	// Initial pass: best of the two L-shapes.
-	for _, c := range conns {
-		a := lRoute(c.x1, c.y1, c.x2, c.y2, true)
-		b := lRoute(c.x1, c.y1, c.x2, c.y2, false)
-		ca := g.cost(a, opt.CongestionWeight)
-		cb := g.cost(b, opt.CongestionWeight)
-		if ca < cb || (ca == cb && rng.Intn(2) == 0) {
-			c.r = a
-		} else {
-			c.r = b
-		}
-		g.apply(c.r, 1)
+	// Initial pass: best of the two L-shapes (bent at the sink's column or
+	// row), exact ties broken by the seed.
+	for i := range conns {
+		c := &conns[i]
+		ca := g.zCost(c.x1, c.y1, c.x2, c.y2, c.x2, true, opt.CongestionWeight)
+		cb := g.zCost(c.x1, c.y1, c.x2, c.y2, c.y2, false, opt.CongestionWeight)
+		c.r = lRoute(c.x1, c.y1, c.x2, c.y2, ca < cb || (ca == cb && rng.Intn(2) == 0))
+		g.apply(&c.r, 1)
 	}
 
 	// Rip-up and reroute nets crossing overflowed edges.
-	for it := 0; it < opt.Iterations; it++ {
-		if g.totalOverflow() == 0 {
-			break
-		}
-		for _, c := range conns {
-			if !g.crossesOverflow(c.r) {
+	for it := 0; it < opt.Iterations && g.overflow > 0; it++ {
+		for i := range conns {
+			c := &conns[i]
+			if !g.crossesOverflow(&c.r) {
 				continue
 			}
-			g.apply(c.r, -1)
-			best := c.r
-			bestCost := g.cost(c.r, opt.CongestionWeight)
-			bestDetour := c.detoured
-			try := func(r route, detoured bool) {
-				cost := g.cost(r, opt.CongestionWeight) +
-					opt.DetourPenalty*float64(r.length()-manhattan(c.x1, c.y1, c.x2, c.y2))
-				if cost < bestCost {
-					best, bestCost, bestDetour = r, cost, detoured
-				}
-			}
-			try(lRoute(c.x1, c.y1, c.x2, c.y2, true), false)
-			try(lRoute(c.x1, c.y1, c.x2, c.y2, false), false)
-			lo, hi := minInt(c.x1, c.x2)-opt.Expansion, maxInt(c.x1, c.x2)+opt.Expansion
-			for m := lo; m <= hi; m++ {
-				if m < 0 || m >= g.bx || m == c.x1 || m == c.x2 {
-					continue
-				}
-				try(zRoute(c.x1, c.y1, c.x2, c.y2, m, true), true)
-			}
-			lo, hi = minInt(c.y1, c.y2)-opt.Expansion, maxInt(c.y1, c.y2)+opt.Expansion
-			for m := lo; m <= hi; m++ {
-				if m < 0 || m >= g.by || m == c.y1 || m == c.y2 {
-					continue
-				}
-				try(zRoute(c.x1, c.y1, c.x2, c.y2, m, false), true)
-			}
-			c.r = best
-			c.detoured = bestDetour
-			g.apply(c.r, 1)
+			g.apply(&c.r, -1)
+			c.reroute(g, opt)
+			g.apply(&c.r, 1)
 		}
 	}
 
 	// Collect results.
 	res := &Result{NetLengthUM: make([]float64, len(nl.Cells))}
 	binLen := (pl.BinW + pl.BinH) / 2
-	for _, c := range conns {
+	for i := range conns {
+		c := &conns[i]
 		l := float64(c.r.length()) * binLen
 		if c.r.length() == 0 {
 			// Same-bin connection: use the intra-bin Manhattan distance.
@@ -337,36 +357,14 @@ func routeImpl(nl *netlist.Netlist, pl *placer.Result, opt Options) (*Result, *g
 	return res, g, nil
 }
 
-func (g *grid) totalOverflow() int {
-	t := 0
-	for _, u := range g.hUse {
-		if u > g.cap {
-			t += u - g.cap
-		}
-	}
-	for _, u := range g.vUse {
-		if u > g.cap {
-			t += u - g.cap
-		}
-	}
-	return t
-}
-
-func (g *grid) crossesOverflow(r route) bool {
-	for _, s := range r.segs {
-		x, y := s.x, s.y
-		for i := 0; i < s.len; i++ {
-			if s.horiz {
-				if g.hUse[y*g.bx+x] > g.cap {
-					return true
-				}
-				x++
-			} else {
-				if g.vUse[y*g.bx+x] > g.cap {
-					return true
-				}
-				y++
+func (g *grid) crossesOverflow(r *route) bool {
+	for _, s := range r {
+		use, i, step := g.edges(s)
+		for k := 0; k < s.len; k++ {
+			if use[i] > g.cap {
+				return true
 			}
+			i += step
 		}
 	}
 	return false
@@ -381,18 +379,4 @@ func absInt(a int) int {
 		return -a
 	}
 	return a
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
