@@ -157,8 +157,8 @@ canary:
 	kill -TERM $$SRV 2>/dev/null; wait $$SRV 2>/dev/null; \
 	echo "canary: verdict trail journaled in $(CANARY_DIR)/lifecycle.jsonl"
 
-# Fire the load generator at a running server (see BENCH_serve.json for
-# the recorded batched-vs-unbatched sweep).
+# Fire the load generator at a running server (`make perfbench` is the
+# oracle-checked benchmark).
 LOADTEST_URL ?= http://127.0.0.1:8080
 LOADTEST_CLIENTS ?= 8
 LOADTEST_REQUESTS ?= 200

@@ -1,7 +1,7 @@
-// Command insightalign-serve runs the recommendation serving subsystem: a
-// batched HTTP inference server over a trained InsightAlign model with a
-// hot-swappable model registry and graceful shutdown. The full
-// observability surface is mounted on the serving listener itself:
+// Command insightalign-serve runs the recommendation serving subsystem: an
+// HTTP inference server over a trained InsightAlign model, with a bounded
+// admission gate, a hot-swappable model registry and graceful shutdown.
+// The full observability surface is mounted on the serving listener itself:
 // Prometheus metrics at /metrics (with trace-ID exemplars and per-version
 // latency/QoR attribution), span traces at /debug/traces (every
 // /v1/recommend response carries a trace_id resolvable there), burn-rate
@@ -13,8 +13,7 @@
 // Usage:
 //
 //	insightalign-serve serve   -model model.bin [-addr :8080] [-watch ckpts/ -poll 2s]
-//	                           [-queue 256] [-max-batch 32] [-window 2ms]
-//	                           [-timeout 10s] [-no-batch] [-seed 1]
+//	                           [-queue 256] [-timeout 10s] [-seed 1]
 //	                           [-cache] [-cache-size 4096] [-warm-seeds 4]
 //	                           [-retrieve-journal run.jsonl]
 //	                           [-profile-ring=false] [-profile-dir DIR]
@@ -97,12 +96,8 @@ func cmdServe(args []string) error {
 	modelPath := fs.String("model", "", "model or checkpoint file (empty: fresh untrained model)")
 	watch := fs.String("watch", "", "checkpoint directory to poll for hot-swaps")
 	poll := fs.Duration("poll", 2*time.Second, "checkpoint poll interval")
-	queue := fs.Int("queue", 256, "admission queue depth (beyond it: 429)")
-	maxBatch := fs.Int("max-batch", 32, "max requests coalesced per decoder call")
-	window := fs.Duration("window", 2*time.Millisecond, "micro-batching window")
+	queue := fs.Int("queue", 256, "requests waiting for one of GOMAXPROCS decode slots (beyond it: 429)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline")
-	batches := fs.Int("concurrent-batches", 2, "decoder calls in flight at once")
-	noBatch := fs.Bool("no-batch", false, "disable micro-batching (per-request decode)")
 	seed := fs.Int64("seed", 1, "seed for the fresh model when -model is empty")
 	cache := fs.Bool("cache", false, "enable the insight-fingerprint response cache + similarity outcome store")
 	cacheSize := fs.Int("cache-size", retrieve.DefaultCacheSize, "response-cache capacity (entries)")
@@ -137,11 +132,7 @@ func cmdServe(args []string) error {
 	cfg := serve.DefaultConfig()
 	cfg.Addr = *addr
 	cfg.QueueDepth = *queue
-	cfg.MaxBatch = *maxBatch
-	cfg.BatchWindow = *window
 	cfg.RequestTimeout = *timeout
-	cfg.MaxConcurrentBatches = *batches
-	cfg.DisableBatching = *noBatch
 	cfg.Breaker = serve.BreakerConfig{
 		Disabled:       *noBreaker,
 		Window:         *brkWindow,

@@ -211,13 +211,13 @@ func NewTuner(m *Recommender, r *FlowRunner, iv Insight, st QoRStats, in Intenti
 	return online.NewTuner(m, r, iv, st, in, opt)
 }
 
-// Serving: the batched HTTP inference subsystem (internal/serve).
+// Serving: the HTTP inference subsystem (internal/serve).
 
 // ServeConfig parameterizes the recommendation server: listen address,
-// admission-queue depth, micro-batching window, per-request deadline.
+// admission waiters (QueueDepth), per-request deadline.
 type ServeConfig = serve.Config
 
-// Server is the batched HTTP recommendation server.
+// Server is the HTTP recommendation server.
 type Server = serve.Server
 
 // ModelRegistry holds the served model behind an atomic pointer with

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Edge-case coverage for the parallel multi-design fan-out behind both
-// zero-shot evaluation and the serving micro-batcher.
+// Edge-case coverage for the parallel multi-design fan-out behind
+// zero-shot evaluation.
 
 func TestBeamSearchBatchZeroDesigns(t *testing.T) {
 	m := smallModel(t, 1)
@@ -64,42 +64,8 @@ func TestBeamSearchBatchWorkerPoolLargerThanInput(t *testing.T) {
 	}
 }
 
-func TestBeamSearchBatchKPerQueryWidths(t *testing.T) {
-	m := smallModel(t, 4)
-	rng := rand.New(rand.NewSource(54))
-	ivs := make([][]float64, 4)
-	for i := range ivs {
-		ivs[i] = randomInsight(rng)
-	}
-	ks := []int{1, 3, 5, 2}
-	batch := m.BeamSearchBatchK(ivs, ks)
-	for i := range ivs {
-		if len(batch[i]) != ks[i] {
-			t.Fatalf("query %d: %d candidates, want %d", i, len(batch[i]), ks[i])
-		}
-		direct := m.BeamSearch(ivs[i], ks[i])
-		for j := range direct {
-			if batch[i][j].Set != direct[j].Set || batch[i][j].LogProb != direct[j].LogProb {
-				t.Fatalf("query %d candidate %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestBeamSearchBatchKLengthMismatchPanics(t *testing.T) {
-	m := smallModel(t, 5)
-	rng := rand.New(rand.NewSource(55))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched ks length did not panic")
-		}
-	}()
-	m.BeamSearchBatchK([][]float64{randomInsight(rng)}, []int{1, 2})
-}
-
-// Concurrent BeamSearchBatch calls against one model — the serving shape,
-// where several coalesced batches can be in flight at once. Run under
-// -race by `make check` and the CI race job.
+// Concurrent BeamSearchBatch calls against one model, sharing its pooled
+// decoder sessions. Run under -race by `make check` and the CI race job.
 func TestBeamSearchBatchConcurrentCalls(t *testing.T) {
 	m := smallModel(t, 6)
 	rng := rand.New(rand.NewSource(56))

@@ -679,37 +679,11 @@ func (d *Decoder) StepProb(prefix []int) float64 {
 // BeamSearchBatch fans beam search for many designs across a bounded worker
 // pool — the zero-shot evaluation shape, where every held-out design is
 // scored independently under one trained policy. Results are returned in
-// input order. Safe under the race detector: each worker builds its own
-// Decoder and the model parameters are only read.
+// input order. Queries are drained from a channel by a fixed pool of
+// NumCPU workers, so a large sweep starts len(ivs) tasks but only ever
+// NumCPU goroutines. Safe under the race detector: each worker builds its
+// own Decoder and the model parameters are only read.
 func (m *Model) BeamSearchBatch(ivs [][]float64, k int) [][]Candidate {
-	ks := make([]int, len(ivs))
-	for i := range ks {
-		ks[i] = k
-	}
-	return m.BeamSearchBatchK(ivs, ks)
-}
-
-// BeamSearchBatchK is BeamSearchBatch with a per-query beam width: query i
-// decodes with width ks[i]. This is the shape the serving micro-batcher
-// needs, where coalesced requests may each ask for a different K. ks must
-// be the same length as ivs.
-func (m *Model) BeamSearchBatchK(ivs [][]float64, ks []int) [][]Candidate {
-	return m.BeamSearchBatchWarm(ivs, ks, nil)
-}
-
-// BeamSearchBatchWarm is BeamSearchBatchK with optional per-query warm
-// starts: query i additionally rolls out seeds[i] as forced lanes
-// (BeamSearchSeeded). seeds may be nil — or hold nil/empty entries — for
-// queries decoding cold; a nil seeds makes this exactly BeamSearchBatchK.
-// Queries are drained from a channel by a fixed pool of NumCPU workers,
-// so a large sweep starts len(ivs) tasks but only ever NumCPU goroutines.
-func (m *Model) BeamSearchBatchWarm(ivs [][]float64, ks []int, seeds [][]recipe.Set) [][]Candidate {
-	if len(ks) != len(ivs) {
-		panic(fmt.Sprintf("core: %d beam widths for %d queries", len(ks), len(ivs)))
-	}
-	if seeds != nil && len(seeds) != len(ivs) {
-		panic(fmt.Sprintf("core: %d seed lists for %d queries", len(seeds), len(ivs)))
-	}
 	out := make([][]Candidate, len(ivs))
 	workers := runtime.NumCPU()
 	if workers > len(ivs) {
@@ -725,12 +699,7 @@ func (m *Model) BeamSearchBatchWarm(ivs [][]float64, ks []int, seeds [][]recipe.
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				dec := m.NewDecoder(ivs[i])
-				if seeds == nil || len(seeds[i]) == 0 {
-					out[i] = dec.BeamSearch(ks[i])
-				} else {
-					out[i] = dec.BeamSearchSeeded(ks[i], seeds[i])
-				}
+				out[i] = m.NewDecoder(ivs[i]).BeamSearch(k)
 			}
 		}()
 	}

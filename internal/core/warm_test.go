@@ -41,28 +41,6 @@ func TestSeededBeamSearchEmptyIdenticalToCached(t *testing.T) {
 	}
 }
 
-func TestSeededBatchNilIdenticalToBatchK(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	m := equivModels(t)[1]
-	ivs := make([][]float64, 7)
-	ks := make([]int, len(ivs))
-	for i := range ivs {
-		ivs[i] = randomInsight(rng)
-		ks[i] = 1 + i%5
-	}
-	base := m.BeamSearchBatchK(ivs, ks)
-	warm := m.BeamSearchBatchWarm(ivs, ks, nil)
-	if !reflect.DeepEqual(base, warm) {
-		t.Fatal("BeamSearchBatchWarm with nil seeds differs from BeamSearchBatchK")
-	}
-	// Per-query empty seed lists too.
-	empty := make([][]recipe.Set, len(ivs))
-	warm = m.BeamSearchBatchWarm(ivs, ks, empty)
-	if !reflect.DeepEqual(base, warm) {
-		t.Fatal("BeamSearchBatchWarm with empty per-query seeds differs from BeamSearchBatchK")
-	}
-}
-
 func TestSeededBeamSearchMergeRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for mi, m := range equivModels(t) {

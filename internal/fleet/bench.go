@@ -164,9 +164,9 @@ func RunFleetBench(ctx context.Context, opt BenchOptions) (*BenchReport, error) 
 // scalingNote is the honest hardware caveat, following BENCH_train.json.
 func scalingNote() string {
 	if runtime.NumCPU() > 1 {
-		return fmt.Sprintf("Measured with %d CPUs. Replicas are in-process serve.Servers (shared runtime), each bounded to its own MaxConcurrentBatches decoder calls, so throughput scales with replica count while cores remain free.", runtime.NumCPU())
+		return fmt.Sprintf("Measured with %d CPUs. Replicas are in-process serve.Servers sharing one runtime, each admitting up to GOMAXPROCS decodes at once, so they share these cores and routed throughput scales with replica count only until the cores are busy.", runtime.NumCPU())
 	}
-	return "Measured on a 1-CPU container, where every replica time-shares one core, so the honest routed-throughput scaling here is ~1x regardless of replica count (the decoder is CPU-bound; adding replicas adds decode capacity only when there are cores to run them). The router mechanics under test — consistent-hash affinity, bounded-load fallback, hedging, breaker failover — are exercised identically; on a machine with >= 4 free cores each replica's MaxConcurrentBatches decoder calls run on their own cores and routed throughput scales near-linearly with replica count the same way the data-parallel trainer does (see BENCH_train.json's 1-CPU note). Re-run `make bench-router` on multi-core hardware to record the scaled numbers."
+	return "Measured on a 1-CPU container, where every replica time-shares one core, so the honest routed-throughput scaling here is ~1x regardless of replica count (the decoder is CPU-bound; adding replicas adds decode capacity only when there are cores to run them). The router mechanics under test — consistent-hash affinity, bounded-load fallback, hedging, breaker failover — are exercised identically; on a machine with >= 4 free cores, replicas run as separate processes on their own cores and routed throughput scales near-linearly with replica count the same way the data-parallel trainer does (see BENCH_train.json's 1-CPU note). Re-run `make bench-router` on multi-core hardware to record the scaled numbers."
 }
 
 // runScalingPoint boots an n-replica fleet behind a fresh router and

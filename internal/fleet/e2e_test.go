@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body []byte) (int, 
 }
 
 func TestFleetKillRecoveryE2E(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	tracer := obs.NewTracer(512)
 	lf, err := StartLocalFleet(3, LocalOptions{Seed: 7, Tracer: tracer, Logger: testLogger()})
 	if err != nil {
@@ -173,6 +175,34 @@ func TestFleetKillRecoveryE2E(t *testing.T) {
 		t.Fatal("no merged trace shows the router→replica hop")
 	}
 	t.Logf("cross-hop trace %s spans: %v", id, spans)
+
+	// Quiescence: with the router and every replica shut down, no
+	// admission slot or waiter is held anywhere, every replica's
+	// insightalign_queue_depth scrapes 0, and the goroutines wind down.
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatalf("router Shutdown: %v", err)
+	}
+	lf.Close()
+	for _, id := range cfg.Replicas {
+		if g := rt.Replica(id).gate; g.Inflight() != 0 || g.Queued() != 0 {
+			t.Errorf("router gate for %s: inflight %d queued %d, want 0", id, g.Inflight(), g.Queued())
+		}
+	}
+	for i, rep := range lf.Replicas {
+		if g := rep.srv.Gate(); g.Inflight() != 0 || g.Queued() != 0 {
+			t.Errorf("replica %d gate: inflight %d queued %d, want 0", i, g.Inflight(), g.Queued())
+		}
+		if exp := rep.srv.Metrics().Exposition(); !strings.Contains(exp, "insightalign_queue_depth 0\n") {
+			t.Errorf("replica %d insightalign_queue_depth not 0 at rest", i)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines after shutdown, baseline %d", n, baseline)
+	}
 }
 
 func TestFleetFaultInjectedBreakerNoLeak(t *testing.T) {

@@ -97,5 +97,5 @@ func (rt *Router) pollReplica(ctx context.Context, rep *Replica) {
 		}
 	}
 	rt.met.SetReplicaUp(rep.id, up)
-	rt.met.SetInflight(rep.id, rep.inflight.Load(), rep.queued.Load())
+	rt.met.SetInflight(rep.id, rep.gate.Inflight(), rep.gate.Queued())
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Replica is the router's view of one backend: its base URL, a bounded
-// admission gate (MaxInflight concurrent forwards plus QueueDepth
-// waiters), liveness from /healthz polling, and a serve.Breaker fed by
+// serve.Gate (MaxInflight concurrent forwards plus QueueDepth waiters),
+// liveness from /healthz polling, and a serve.Breaker fed by
 // observed forward outcomes. Health and breaker answer different
 // questions — "is the process up" vs "is it currently failing requests" —
 // and the router consults both before sending.
@@ -18,27 +18,15 @@ type Replica struct {
 
 	brk *serve.Breaker
 
-	slots    chan struct{} // admission: one token per in-flight forward
-	inflight atomic.Int64
-	queued   atomic.Int64 // waiters blocked on slots
-	maxQueue int64
+	// gate admits forwards; a full one is the router's 503 + Retry-After.
+	gate *serve.Gate
 
 	healthy   atomic.Bool
 	failPolls atomic.Int64 // consecutive failed health polls
 }
 
 func newReplica(id string, maxInflight, queueDepth int, brkCfg serve.BreakerConfig, onTransition func(from, to serve.BreakerState)) *Replica {
-	if maxInflight < 1 {
-		maxInflight = 32
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
-	r := &Replica{
-		id:       id,
-		slots:    make(chan struct{}, maxInflight),
-		maxQueue: int64(queueDepth),
-	}
+	r := &Replica{id: id, gate: serve.NewGate(maxInflight, queueDepth)}
 	if !brkCfg.Disabled {
 		r.brk = serve.NewBreaker(brkCfg, onTransition)
 	}
@@ -56,7 +44,7 @@ func (r *Replica) ID() string { return r.id }
 func (r *Replica) Healthy() bool { return r.healthy.Load() }
 
 // Inflight reports the current number of in-flight forwards.
-func (r *Replica) Inflight() int64 { return r.inflight.Load() }
+func (r *Replica) Inflight() int64 { return r.gate.Inflight() }
 
 // BreakerState reports the replica breaker's position (closed when the
 // breaker is disabled).
@@ -65,47 +53,6 @@ func (r *Replica) BreakerState() serve.BreakerState {
 		return serve.BreakerClosed
 	}
 	return r.brk.State()
-}
-
-// tryAcquire takes an admission slot without blocking. Returns false when
-// the replica is at MaxInflight.
-func (r *Replica) tryAcquire() bool {
-	select {
-	case r.slots <- struct{}{}:
-		r.inflight.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-// acquire waits up to wait (and the deadline channel) for a slot, bounded
-// by the replica's queue depth: when QueueDepth waiters are already
-// parked, it refuses immediately — that is the "bounded" in bounded
-// admission queue, and the router turns it into 503 + Retry-After.
-func (r *Replica) acquire(wait time.Duration, done <-chan struct{}) bool {
-	if r.queued.Add(1) > r.maxQueue {
-		r.queued.Add(-1)
-		return false
-	}
-	defer r.queued.Add(-1)
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case r.slots <- struct{}{}:
-		r.inflight.Add(1)
-		return true
-	case <-t.C:
-		return false
-	case <-done:
-		return false
-	}
-}
-
-// release frees an admission slot.
-func (r *Replica) release() {
-	r.inflight.Add(-1)
-	<-r.slots
 }
 
 // allow asks the replica's breaker for an admission (always granted when

@@ -192,7 +192,7 @@ func (rt *Router) handleDash(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(&b, "%-28s %-5s %-5s %-10s %9d %7d %-16s %7s\n",
 			id, up, ring, rep.BreakerState().String(),
-			rep.inflight.Load(), rep.queued.Load(), version, qdepth)
+			rep.gate.Inflight(), rep.gate.Queued(), version, qdepth)
 	}
 
 	b.WriteString("\nversion mix:\n")

@@ -441,7 +441,7 @@ func (rt *Router) forward(ctx context.Context, path string, key uint64, body []b
 	var last attemptResult
 	sent := false
 	for a := 0; a < attempts && ctx.Err() == nil; a++ {
-		pk, reason, wait := rt.pick(order, tried, a == 0, ctx.Done())
+		pk, reason, wait := rt.pick(ctx, order, tried, a == 0)
 		if pk == nil {
 			if !sent {
 				rt.met.ObserveShed(reason)
@@ -480,7 +480,7 @@ type picked struct {
 // is set) a third pass waits up to QueueWait on an admission slot. A nil
 // return means the fleet cannot take this request: the reason and a
 // Retry-After hint accompany it.
-func (rt *Router) pick(order []string, tried map[string]bool, allowQueue bool, done <-chan struct{}) (*picked, string, time.Duration) {
+func (rt *Router) pick(ctx context.Context, order []string, tried map[string]bool, allowQueue bool) (*picked, string, time.Duration) {
 	var brkWait time.Duration
 	sawHealthy, sawBreakerOnly := false, true
 	for pass := 0; pass < 2; pass++ {
@@ -491,16 +491,16 @@ func (rt *Router) pick(order []string, tried map[string]bool, allowQueue bool, d
 				continue
 			}
 			sawHealthy = true
-			if pass == 0 && rep.inflight.Load() > limit {
+			if pass == 0 && rep.gate.Inflight() > limit {
 				continue
 			}
-			if !rep.tryAcquire() {
+			if !rep.gate.TryAcquire() {
 				sawBreakerOnly = false
 				continue
 			}
 			adm, ok, wait := rep.allow()
 			if !ok {
-				rep.release()
+				rep.gate.Release()
 				if wait > brkWait {
 					brkWait = wait
 				}
@@ -522,7 +522,10 @@ func (rt *Router) pick(order []string, tried map[string]bool, allowQueue bool, d
 				}
 				continue
 			}
-			if rep.acquire(rt.cfg.QueueWait, done) {
+			qctx, cancel := context.WithTimeout(ctx, rt.cfg.QueueWait)
+			err := rep.gate.Acquire(qctx)
+			cancel()
+			if err == nil {
 				return &picked{rep: rep, adm: adm}, "", 0
 			}
 			rep.releaseAdmission(adm)
@@ -544,12 +547,12 @@ func (rt *Router) pick(order []string, tried map[string]bool, allowQueue bool, d
 func (rt *Router) pickHedge(order []string, tried map[string]bool) *picked {
 	for _, id := range order {
 		rep := rt.reps[id]
-		if tried[id] || !rep.healthy.Load() || !rep.tryAcquire() {
+		if tried[id] || !rep.healthy.Load() || !rep.gate.TryAcquire() {
 			continue
 		}
 		adm, ok, _ := rep.allow()
 		if !ok {
-			rep.release()
+			rep.gate.Release()
 			continue
 		}
 		return &picked{rep: rep, adm: adm}
@@ -562,7 +565,7 @@ func (rt *Router) pickHedge(order []string, tried map[string]bool) *picked {
 func (rt *Router) loadLimit() int64 {
 	var total, healthy int64
 	for _, rep := range rt.reps {
-		total += rep.inflight.Load()
+		total += rep.gate.Inflight()
 		if rep.healthy.Load() {
 			healthy++
 		}
@@ -650,10 +653,10 @@ func (rt *Router) hedgeDelay() time.Duration {
 func (rt *Router) send(ctx context.Context, pk *picked, path, traceID string, body []byte, hedge bool) attemptResult {
 	rep := pk.rep
 	defer func() {
-		rep.release()
-		rt.met.SetInflight(rep.id, rep.inflight.Load(), rep.queued.Load())
+		rep.gate.Release()
+		rt.met.SetInflight(rep.id, rep.gate.Inflight(), rep.gate.Queued())
 	}()
-	rt.met.SetInflight(rep.id, rep.inflight.Load(), rep.queued.Load())
+	rt.met.SetInflight(rep.id, rep.gate.Inflight(), rep.gate.Queued())
 	_, span := obs.StartSpan(ctx, "forward")
 	span.SetAttr("replica", rep.id)
 	if hedge {
@@ -885,8 +888,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Replicas = append(resp.Replicas, ReplicaHealth{
 			URL: id, Up: h, InRing: members[id],
 			Breaker:  rep.BreakerState().String(),
-			Inflight: rep.inflight.Load(),
-			Queued:   rep.queued.Load(),
+			Inflight: rep.gate.Inflight(),
+			Queued:   rep.gate.Queued(),
 		})
 	}
 	code := http.StatusOK

@@ -38,10 +38,10 @@ func FuzzLoadParams(f *testing.F) {
 	valid := validStream(f)
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(valid[:4])             // magic only
-	f.Add(valid[:8])             // magic + count
-	f.Add(valid[:len(valid)/2])  // mid-payload truncation
-	f.Add(valid[:len(valid)-1])  // one byte short
+	f.Add(valid[:4])            // magic only
+	f.Add(valid[:8])            // magic + count
+	f.Add(valid[:len(valid)/2]) // mid-payload truncation
+	f.Add(valid[:len(valid)-1]) // one byte short
 	for _, pos := range []int{0, 4, 8, 12, len(valid) / 2} {
 		flipped := append([]byte(nil), valid...)
 		flipped[pos] ^= 0x40

@@ -155,8 +155,8 @@ func TestJournalReadRetriesRotationDrop(t *testing.T) {
 	// A + {11} and silently dropped all of B; now the seq gap triggers a
 	// re-read whose union recovers every entry exactly once.
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	writeJournalSegment(t, path+".1", 1, 5)  // segment A
-	writeJournalSegment(t, path, 6, 10)      // segment B, still active
+	writeJournalSegment(t, path+".1", 1, 5) // segment A
+	writeJournalSegment(t, path, 6, 10)     // segment B, still active
 	rotated := false
 	journalReadGapHook = func() {
 		if rotated {

@@ -177,16 +177,6 @@ func (g *Gauge) Add(v float64, labelVals ...string) {
 	g.f.mu.Unlock()
 }
 
-// SetMax raises the series to v if v exceeds its current value — the
-// high-watermark pattern (largest batch seen, peak queue depth).
-func (g *Gauge) SetMax(v float64, labelVals ...string) {
-	g.f.mu.Lock()
-	if s := g.f.get(labelVals); v > s.val {
-		s.val = v
-	}
-	g.f.mu.Unlock()
-}
-
 // Value reads the series' current value (0 if never written).
 func (g *Gauge) Value(labelVals ...string) float64 {
 	g.f.mu.Lock()

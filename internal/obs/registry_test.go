@@ -16,8 +16,7 @@ func TestCounterGaugeHistogramExposition(t *testing.T) {
 	c.Add(3, "/healthz", "200")
 	g := r.Gauge("test_depth", "Queue depth.")
 	g.Set(4)
-	g.SetMax(9)
-	g.SetMax(2) // lower: must not regress
+	g.Add(5)
 	r.GaugeFunc("test_uptime", "Uptime.", func() float64 { return 1.5 })
 	r.InfoFunc("test_model_info", "Model.", "version", func() string { return "v1-abcd" })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "route")

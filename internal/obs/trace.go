@@ -16,8 +16,7 @@ import (
 // span IDs are monotonic within the process. StartSpan reads the parent
 // span from the context, so a trace crosses goroutine and subsystem
 // boundaries wherever the context is propagated: HTTP handler → admission
-// queue → micro-batch → decoder session, or train epoch → minibatch →
-// worker chunk. Completed traces land in a bounded ring served at
+// gate → decoder session, or train epoch → minibatch → worker chunk. Completed traces land in a bounded ring served at
 // /debug/traces.
 
 // maxSpansPerTrace bounds one trace's span list; further spans are

@@ -230,7 +230,7 @@ func TestReplayEquivalentToLiveFeed(t *testing.T) {
 	ivs := [][]float64{{1, 0, 2}, {0, 3, 1}, {2, 2, 2}}
 	for iter := 0; iter < 9; iter++ {
 		iv := ivs[iter%len(ivs)]
-		sets := []string{setN(iter % recipe.N).String(), setN((iter + 7) % recipe.N, 5).String()}
+		sets := []string{setN(iter % recipe.N).String(), setN((iter+7)%recipe.N, 5).String()}
 		qors := []float64{float64(iter), float64(iter) * 0.5}
 		ver := fmt.Sprintf("v%d", iter%2)
 		if err := j.Record("online_iteration", iterEntry{

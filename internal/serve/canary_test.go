@@ -42,7 +42,6 @@ func (r *stubRouter) ObserveLive(code int, d time.Duration, lp float64) {
 func TestCanaryBypassesResponseCache(t *testing.T) {
 	stub := &stubRouter{}
 	cfg := e2eConfig()
-	cfg.DisableBatching = true
 	cfg.Cache = retrieve.NewCache(64)
 	cfg.Canary = stub
 	ts, s, _, _ := newTestServer(t, cfg)
@@ -123,7 +122,6 @@ func TestCanaryBypassesResponseCache(t *testing.T) {
 func TestCanaryResponsesSkipBreaker(t *testing.T) {
 	stub := &stubRouter{}
 	cfg := e2eConfig()
-	cfg.DisableBatching = true
 	cfg.Canary = stub
 	cfg.Breaker = BreakerConfig{Window: 16, MinSamples: 4, FailureRatio: 0.5, Cooldown: time.Minute}
 	ts, s, _, _ := newTestServer(t, cfg)

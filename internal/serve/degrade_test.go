@@ -29,8 +29,6 @@ func TestServeDegradationEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Model = smallCfg()
 	cfg.RequestTimeout = 150 * time.Millisecond
-	cfg.BatchWindow = time.Millisecond
-	cfg.MaxConcurrentBatches = 1
 	cfg.BackendHook = inj.HookFunc("backend")
 	cfg.Breaker = BreakerConfig{
 		Window: 8, MinSamples: 4, FailureRatio: 0.5,
@@ -180,8 +178,6 @@ func TestServeHalfOpenSurvivesMalformedRequests(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Model = smallCfg()
 	cfg.RequestTimeout = 150 * time.Millisecond
-	cfg.BatchWindow = time.Millisecond
-	cfg.MaxConcurrentBatches = 1
 	cfg.BackendHook = inj.HookFunc("backend")
 	cfg.Breaker = BreakerConfig{
 		Window: 4, MinSamples: 2, FailureRatio: 0.5,

@@ -1,10 +1,11 @@
 // Package serve is the recommendation serving subsystem: a stdlib
-// net/http JSON API over the InsightAlign recommender with dynamic
-// micro-batching (concurrent single requests coalesce through a bounded
-// admission queue into one multi-design decoder call), a hot-swappable
-// model registry so online fine-tuning checkpoints roll into serving
-// without downtime, Prometheus-text metrics, structured request logging,
-// and graceful shutdown.
+// net/http JSON API over the InsightAlign recommender. Every request
+// decodes in its own handler goroutine behind one bounded admission gate
+// (GOMAXPROCS decode slots plus a bounded number of waiters, 429 beyond
+// them). A hot-swappable model registry rolls online fine-tuning
+// checkpoints into serving without downtime. The server also exports
+// Prometheus-text metrics, logs structured requests and shuts down
+// gracefully.
 //
 // Routes:
 //
@@ -24,6 +25,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,31 +51,24 @@ type Config struct {
 	DefaultBeamWidth int
 	// MaxBeamWidth caps per-request beam widths.
 	MaxBeamWidth int
-	// QueueDepth bounds the admission queue; beyond it requests get 429.
+	// QueueDepth bounds how many requests wait for a decode slot; beyond
+	// it requests get 429. Decode is CPU-bound, so the gate has
+	// runtime.GOMAXPROCS(0) slots.
 	QueueDepth int
-	// MaxBatch caps how many requests coalesce into one decoder call.
-	MaxBatch int
-	// BatchWindow is how long the collector waits for followers after
-	// the first request of a batch arrives.
-	BatchWindow time.Duration
 	// RequestTimeout is the per-request deadline (queue wait + decode).
 	RequestTimeout time.Duration
-	// MaxConcurrentBatches bounds decoder calls in flight at once.
-	MaxConcurrentBatches int
-	// DisableBatching bypasses the admission queue and decodes each
-	// request inline — the unbatched comparison mode of the load tests.
-	DisableBatching bool
 	// Breaker configures the backend circuit breaker: when the recent
 	// backend failure ratio trips it, requests are shed with 503 +
 	// Retry-After instead of queueing behind a dying backend.
 	Breaker BreakerConfig
-	// BackendHook, if non-nil, runs before every decoder call — the
-	// fault-injection seam the degradation tests use to simulate hung or
-	// failing backends (faultinject.Injector.HookFunc matches it).
+	// BackendHook, if non-nil, runs before every decode, inside its
+	// admission slot — the fault-injection seam the degradation tests use
+	// to simulate hung or failing backends (faultinject.Injector.HookFunc
+	// matches it).
 	BackendHook func(ctx context.Context) error
 	// Cache, if non-nil, is the insight-fingerprint response cache: a
 	// repeat request for a known (design, beam width) under the live model
-	// version is answered without touching the admission queue or the
+	// version is answered without touching the admission gate or the
 	// decoder. Entries are stamped with the producing model version, so a
 	// hot-swap invalidates them implicitly — a stale response is
 	// structurally impossible, not merely evicted on a timer.
@@ -126,9 +121,8 @@ type Config struct {
 // lifecycle. The server holds it as an interface so internal/lifecycle can
 // depend on serve (registry, snapshots) without a cycle.
 //
-// Candidate-routed requests deliberately bypass both the admission-queue
-// batcher (a canary decode must not coalesce with live-version decodes in
-// one BeamSearchBatch call) and the version-stamped response cache in BOTH
+// Candidate-routed requests take a slot from the same admission gate as
+// live ones but bypass the version-stamped response cache in BOTH
 // directions: a cache hit stamped with the live version would silently
 // mask the candidate, and a candidate-stamped Put would evict the live
 // entry for that fingerprint. Candidate traffic always decodes.
@@ -159,24 +153,21 @@ type CandidateRouter interface {
 // K = 5 beam width.
 func DefaultConfig() Config {
 	return Config{
-		Addr:                 ":8080",
-		Model:                core.DefaultConfig(),
-		DefaultBeamWidth:     5,
-		MaxBeamWidth:         16,
-		QueueDepth:           256,
-		MaxBatch:             32,
-		BatchWindow:          2 * time.Millisecond,
-		RequestTimeout:       10 * time.Second,
-		MaxConcurrentBatches: 2,
+		Addr:             ":8080",
+		Model:            core.DefaultConfig(),
+		DefaultBeamWidth: 5,
+		MaxBeamWidth:     16,
+		QueueDepth:       256,
+		RequestTimeout:   10 * time.Second,
 	}
 }
 
-// Server is the serving subsystem: admission queue -> micro-batcher ->
-// decoder sessions, against a hot-swappable model registry.
+// Server is the serving subsystem: admission gate -> decoder session in
+// the handler goroutine, against a hot-swappable model registry.
 type Server struct {
 	cfg    Config
 	reg    *Registry
-	bat    *Batcher
+	gate   *Gate
 	met    *Metrics
 	brk    *Breaker // nil when cfg.Breaker.Disabled
 	slo    *slo.Engine
@@ -223,12 +214,8 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, reg: reg, slo: cfg.SLO, prof: cfg.Profiler,
 		tracer: cfg.Tracer, log: cfg.Logger, warmK: cfg.WarmSeeds}
-	s.bat = NewBatcher(reg, nil, cfg.QueueDepth, cfg.MaxBatch, cfg.MaxConcurrentBatches, cfg.BatchWindow)
-	s.met = NewMetrics(cfg.Metrics, s.bat.Depth, reg.Version)
-	s.bat.met = s.met
-	s.bat.hook = cfg.BackendHook
-	s.bat.store = cfg.Store
-	s.bat.warmSeeds = cfg.WarmSeeds
+	s.gate = NewGate(runtime.GOMAXPROCS(0), cfg.QueueDepth)
+	s.met = NewMetrics(cfg.Metrics, func() int { return int(s.gate.Queued()) }, reg.Version)
 	if !cfg.Breaker.Disabled {
 		s.brk = NewBreaker(cfg.Breaker, func(from, to BreakerState) {
 			s.met.ObserveBreakerTransition(from, to)
@@ -248,6 +235,9 @@ func (s *Server) SLO() *slo.Engine { return s.slo }
 
 // Registry returns the model registry backing this server.
 func (s *Server) Registry() *Registry { return s.reg }
+
+// Gate returns the admission gate every decode passes through.
+func (s *Server) Gate() *Gate { return s.gate }
 
 // Handler returns the full route mux wrapped in metrics + logging
 // middleware, for mounting under a custom listener or test server.
@@ -300,12 +290,13 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains gracefully: stop accepting connections, wait for
-// in-flight requests (bounded by ctx), then stop the batcher.
+// in-flight requests (bounded by ctx), then close the admission gate so
+// any request still waiting for a slot fails with 503.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
 		err = s.httpSrv.Shutdown(ctx)
-		s.bat.Close()
+		s.gate.Close()
 		s.log.Info("shut down", "err", err)
 	})
 	return err
@@ -498,8 +489,8 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	// Submit every element to the shared admission queue so a client
-	// batch coalesces with concurrent singles (and with other batches).
+	// Every element takes its own admission slot, so QueueDepth bounds a
+	// client batch the same way it bounds concurrent singles.
 	results := make([]RecommendResponse, len(req.Requests))
 	errs := make([]error, len(req.Requests))
 	var wg sync.WaitGroup
@@ -520,9 +511,9 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// recommend runs one validated request through the batcher (or inline in
-// unbatched mode) and shapes the response. Returns the HTTP status and
-// the raw terminal error for breaker outcome classification.
+// recommend runs one validated request through the admission gate and
+// shapes the response. Returns the HTTP status and the raw terminal error
+// for breaker outcome classification.
 //
 // With a Cache configured the decoder is skipped entirely when the
 // (fingerprint, beam width) pair is already cached under the live model
@@ -571,63 +562,18 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 			s.met.ObserveCache("bypass")
 		}
 	}
-	var res batchResult
-	if s.cfg.DisableBatching {
-		snap := s.reg.Current()
-		if snap == nil {
-			res = batchResult{err: ErrNoModel}
-		} else if err := runBackendHook(ctx, s.cfg.BackendHook); err != nil {
-			res = batchResult{err: err}
-		} else {
-			_, sp := obs.StartSpan(ctx, "decoder_session")
-			sp.SetAttr("batch_size", "1")
-			var seeds []recipe.Set
-			if s.cfg.Store != nil {
-				seeds = s.cfg.Store.BestSets(req.Insight, s.warmK, 0)
-			}
-			res = batchResult{
-				cands:     snap.Model.NewDecoder(req.Insight).BeamSearchSeeded(k, seeds),
-				version:   snap.Version,
-				batchSize: 1,
-			}
-			sp.End()
-			s.met.ObserveBatch(1)
-			if len(res.cands) > 0 {
-				s.met.ObserveQoR(snap.Version, res.cands[0].LogProb)
-			}
-			if s.cfg.Store != nil && len(res.cands) > 0 {
-				s.cfg.Store.Add(req.Insight, res.cands[0].Set, res.cands[0].LogProb, snap.Version)
-			}
-		}
-	} else {
-		res = s.bat.Submit(ctx, req.Insight, k)
-	}
+	cands, version, err := s.decode(ctx, req.Insight, k, nil)
 	// Feed the lifecycle's live baseline: every live decode outcome
 	// (queue wait + decode, matching what a client experiences), with the
 	// top candidate's log-prob as the QoR proxy. Cache hits returned
 	// above never reach here — no decode, no baseline sample.
 	if lc := s.cfg.Canary; lc != nil {
-		code, lp := http.StatusOK, math.NaN()
-		if res.err != nil {
-			code = errStatus(res.err)
-		} else if len(res.cands) > 0 {
-			lp = res.cands[0].LogProb
-		}
-		lc.ObserveLive(code, time.Since(startAt), lp)
+		lc.ObserveLive(outcome(err, cands), time.Since(startAt), topLogProb(cands))
 	}
-	if res.err != nil {
-		return RecommendResponse{Error: res.err.Error()}, errStatus(res.err), res.err
+	if err != nil {
+		return RecommendResponse{Error: err.Error()}, errStatus(err), err
 	}
-	resp := RecommendResponse{
-		ModelVersion: res.version,
-		BeamWidth:    k,
-		BatchSize:    res.batchSize,
-		Candidates:   make([]CandidateJSON, 0, len(res.cands)),
-		TraceID:      obs.TraceIDFrom(ctx),
-	}
-	for _, c := range res.cands {
-		resp.Candidates = append(resp.Candidates, toCandidateJSON(c))
-	}
+	resp := newResponse(ctx, version, k, cands)
 	if cacheable {
 		// The cached copy is stamped with the version that produced it (not
 		// the registry's current one: a reload may have landed mid-decode)
@@ -635,52 +581,124 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 		cached := resp
 		cached.TraceID = ""
 		cached.BatchSize = 0
-		s.cfg.Cache.Put(key, res.version, cached)
+		s.cfg.Cache.Put(key, version, cached)
 	}
 	return resp, http.StatusOK, nil
 }
 
 // recommendCandidate serves one canary-assigned request on the candidate
-// snapshot: an inline decode (never the shared batcher — a candidate
-// decode must not coalesce with live-version decodes) with the lifecycle's
+// snapshot: a decode under the same admission gate, with the lifecycle's
 // own fault seam, bypassing the response cache in both directions. The
 // outcome feeds the canary verdict engine; the response is stamped with
 // the candidate version so the per-version measurement plane (latency
 // histograms, SLO scopes) attributes it correctly.
 func (s *Server) recommendCandidate(ctx context.Context, req *RecommendRequest, cand *Snapshot, k int) (RecommendResponse, int, error) {
-	lc := s.cfg.Canary
 	startAt := time.Now()
-	if err := runBackendHook(ctx, lc.CandidateHook()); err != nil {
-		code := errStatus(err)
-		lc.ObserveCandidate(code, time.Since(startAt), math.NaN())
-		return RecommendResponse{Error: err.Error(), ModelVersion: cand.Version, canary: true}, code, err
+	cands, _, err := s.decode(ctx, req.Insight, k, cand)
+	s.cfg.Canary.ObserveCandidate(outcome(err, cands), time.Since(startAt), topLogProb(cands))
+	if err != nil {
+		return RecommendResponse{Error: err.Error(), ModelVersion: cand.Version, canary: true}, errStatus(err), err
+	}
+	resp := newResponse(ctx, cand.Version, k, cands)
+	resp.canary = true
+	return resp, http.StatusOK, nil
+}
+
+// decode runs one beam search in the calling goroutine. It waits for an
+// admission slot inside the admission_queue span, runs the backend fault
+// seam, decodes under a decoder_session child span, then records the
+// decoder call, the QoR proxy and the outcome-store feed. cand, when
+// non-nil, is the canary candidate: it decodes cold with the lifecycle's
+// fault seam and never touches the outcome store. On success the version
+// names the snapshot that decoded.
+func (s *Server) decode(ctx context.Context, iv []float64, k int, cand *Snapshot) ([]core.Candidate, string, error) {
+	ctx, span := obs.StartSpan(ctx, "admission_queue")
+	defer span.End()
+	if err := s.gate.Acquire(ctx); err != nil {
+		s.met.ObserveRejection(rejectionReason(err))
+		return nil, "", err
+	}
+	defer s.gate.Release()
+	snap, hook, store := s.reg.Current(), s.cfg.BackendHook, s.cfg.Store
+	if cand != nil {
+		snap, hook, store = cand, s.cfg.Canary.CandidateHook(), nil
+	}
+	if snap == nil {
+		return nil, "", ErrNoModel
+	}
+	// A hung hook holds this slot until the request's deadline fires, so
+	// the stall is bounded.
+	if err := runBackendHook(ctx, hook); err != nil {
+		return nil, "", err
 	}
 	_, sp := obs.StartSpan(ctx, "decoder_session")
 	sp.SetAttr("batch_size", "1")
-	sp.SetAttr("canary", "true")
-	sp.SetAttr("model_version", cand.Version)
-	cands := cand.Model.NewDecoder(req.Insight).BeamSearch(k)
+	sp.SetAttr("model_version", snap.Version)
+	if cand != nil {
+		sp.SetAttr("canary", "true")
+	}
+	// With a retrieval store the decode is seeded with the query's nearest
+	// neighbors' best sets; an empty store yields nil seeds, which
+	// BeamSearchSeeded guarantees is bit-identical to the cold search.
+	var seeds []recipe.Set
+	if store != nil {
+		seeds = store.BestSets(iv, s.warmK, 0)
+	}
+	cands := snap.Model.NewDecoder(iv).BeamSearchSeeded(k, seeds)
 	sp.End()
-	d := time.Since(startAt)
 	s.met.ObserveBatch(1)
+	if len(cands) > 0 {
+		// The top log-prob is the serving-side QoR proxy, attributed to the
+		// model version that produced it.
+		s.met.ObserveQoR(snap.Version, cands[0].LogProb)
+		if store != nil {
+			store.Add(iv, cands[0].Set, cands[0].LogProb, snap.Version)
+		}
+	}
+	return cands, snap.Version, nil
+}
+
+// rejectionReason labels an admission refusal for the rejections counter.
+func rejectionReason(err error) string {
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		return "queue_full"
+	case errors.Is(err, ErrShutdown):
+		return "shutdown"
+	default:
+		return "deadline"
+	}
+}
+
+// outcome is the HTTP status a decode outcome maps to.
+func outcome(err error, cands []core.Candidate) int {
+	if err != nil {
+		return errStatus(err)
+	}
+	return http.StatusOK
+}
+
+// topLogProb is the best candidate's log-prob, NaN when there is none.
+func topLogProb(cands []core.Candidate) float64 {
+	if len(cands) == 0 {
+		return math.NaN()
+	}
+	return cands[0].LogProb
+}
+
+// newResponse shapes one decoded recommendation.
+func newResponse(ctx context.Context, version string, k int, cands []core.Candidate) RecommendResponse {
 	resp := RecommendResponse{
-		ModelVersion: cand.Version,
+		ModelVersion: version,
 		BeamWidth:    k,
 		BatchSize:    1,
 		Candidates:   make([]CandidateJSON, 0, len(cands)),
 		TraceID:      obs.TraceIDFrom(ctx),
-		canary:       true,
 	}
-	lp := math.NaN()
-	if len(cands) > 0 {
-		lp = cands[0].LogProb
-		s.met.ObserveQoR(cand.Version, lp)
-	}
-	lc.ObserveCandidate(http.StatusOK, d, lp)
 	for _, c := range cands {
 		resp.Candidates = append(resp.Candidates, toCandidateJSON(c))
 	}
-	return resp, http.StatusOK, nil
+	return resp
 }
 
 func toCandidateJSON(c core.Candidate) CandidateJSON {
@@ -720,8 +738,8 @@ func (s *Server) maybeShed(w http.ResponseWriter, r *http.Request) (Admission, b
 }
 
 // releaseAdmission frees an admission that will never produce a backend
-// outcome (the request died before reaching the batcher), so half-open
-// probe slots are not leaked by malformed requests.
+// outcome (the request died before reaching the admission gate), so
+// half-open probe slots are not leaked by malformed requests.
 func (s *Server) releaseAdmission(adm Admission) {
 	if s.brk != nil {
 		s.brk.Release(adm)
@@ -857,7 +875,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		ModelVersion:  s.reg.Version(),
 		UptimeSeconds: time.Since(s.met.start).Seconds(),
-		QueueDepth:    s.bat.Depth(),
+		QueueDepth:    int(s.gate.Queued()),
 	}
 	if s.brk != nil {
 		resp.Breaker = s.brk.State().String()
@@ -971,7 +989,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// errStatus maps batcher/registry errors to HTTP codes.
+// errStatus maps admission/registry errors to HTTP codes.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):

@@ -18,6 +18,7 @@ import (
 
 	"insightalign/internal/core"
 	"insightalign/internal/nn"
+	"insightalign/internal/obs"
 )
 
 func quietLogger() *slog.Logger {
@@ -83,10 +84,6 @@ func e2eConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Model = smallCfg()
 	cfg.QueueDepth = 128
-	cfg.MaxBatch = 32
-	// A generous window so a burst of concurrent clients demonstrably
-	// coalesces even under race-detector scheduling.
-	cfg.BatchWindow = 25 * time.Millisecond
 	cfg.RequestTimeout = 30 * time.Second
 	return cfg
 }
@@ -94,10 +91,13 @@ func e2eConfig() Config {
 // TestServerEndToEnd is the acceptance test: boot on a random port, fire
 // >= 32 concurrent recommend requests, and assert (a) every request
 // succeeds with 40-bit recipe sets identical to direct BeamSearch output,
-// (b) the batch-size metric shows coalescing > 1, and (c) a mid-flight
-// model reload swaps the reported version with zero failed requests.
+// (b) the batch-size histogram counts exactly one decoder call of size 1
+// per request, and (c) a mid-flight model reload swaps the reported
+// version with zero failed requests.
 func TestServerEndToEnd(t *testing.T) {
-	ts, s, ref, _ := newTestServer(t, e2eConfig())
+	cfg := e2eConfig()
+	cfg.Metrics = obs.NewRegistry() // counts only this test's decodes
+	ts, s, ref, _ := newTestServer(t, cfg)
 
 	const distinct = 6
 	const requests = 48
@@ -173,7 +173,7 @@ func TestServerEndToEnd(t *testing.T) {
 				t.Fatalf("request %d candidate %d: logprob differs by %g", o.id, j, diff)
 			}
 		}
-		if o.resp.ModelVersion == "" || o.resp.BatchSize < 1 {
+		if o.resp.ModelVersion == "" || o.resp.BatchSize != 1 {
 			t.Fatalf("request %d: bad metadata %+v", o.id, o.resp)
 		}
 	}
@@ -188,10 +188,6 @@ func TestServerEndToEnd(t *testing.T) {
 	if after.ModelVersion == initialVersion {
 		t.Fatalf("model version did not change after reload (still %s)", after.ModelVersion)
 	}
-	// (b) coalescing: the batch-size metric must show batches > 1.
-	if s.Metrics().BatchMax() < 2 {
-		t.Fatalf("no coalescing: max batch size %d", s.Metrics().BatchMax())
-	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -200,24 +196,18 @@ func TestServerEndToEnd(t *testing.T) {
 	mresp.Body.Close()
 	metrics := string(mbody)
 	for _, want := range []string{
-		"insightalign_batch_size_max",
+		// (b) one decoder call per request: 48 concurrent plus the
+		// post-reload one.
+		fmt.Sprintf("insightalign_batch_size_count %d", requests+1),
+		fmt.Sprintf("insightalign_batch_size_sum %d", requests+1),
+		"insightalign_queue_depth 0",
 		`insightalign_requests_total{route="/v1/recommend",code="200"}`,
 		"insightalign_request_duration_seconds_bucket",
-		"insightalign_queue_depth",
 		"insightalign_model_info{version=\"" + after.ModelVersion + "\"}",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics page missing %q\n---\n%s", want, metrics)
 		}
-	}
-	var batchMax int
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, "insightalign_batch_size_max ") {
-			fmt.Sscanf(line, "insightalign_batch_size_max %d", &batchMax)
-		}
-	}
-	if batchMax < 2 {
-		t.Fatalf("scraped batch_size_max %d, want > 1", batchMax)
 	}
 }
 
@@ -344,27 +334,6 @@ func TestServerNoModel503(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("no-model healthz: %d", hresp.StatusCode)
-	}
-}
-
-// Unbatched mode serves correctly too (the load-test comparison path).
-func TestServerUnbatchedMode(t *testing.T) {
-	cfg := e2eConfig()
-	cfg.DisableBatching = true
-	ts, _, ref, _ := newTestServer(t, cfg)
-	iv := make([]float64, 72)
-	for i := range iv {
-		iv[i] = float64(i%7)/7 - 0.5
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{Insight: iv, BeamWidth: 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unbatched: %d %s", resp.StatusCode, body)
-	}
-	var rr RecommendResponse
-	json.Unmarshal(body, &rr)
-	want := ref.BeamSearch(iv, 2)
-	if rr.BatchSize != 1 || rr.Candidates[0].Recipes != want[0].Set.String() {
-		t.Fatalf("unbatched response %+v", rr)
 	}
 }
 

@@ -6,20 +6,45 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"insightalign/internal/core"
+	"insightalign/internal/obs"
 )
+
+// assertQuiescent checks that a shut-down server left nothing behind: no
+// held admission slot or waiter, insightalign_queue_depth scraping 0, and
+// the process back to at most baseline goroutines within a bounded poll.
+func assertQuiescent(t *testing.T, s *Server, baseline int) {
+	t.Helper()
+	if in, q := s.Gate().Inflight(), s.Gate().Queued(); in != 0 || q != 0 {
+		t.Errorf("gate not idle after shutdown: inflight %d queued %d", in, q)
+	}
+	if exp := s.Metrics().Exposition(); !strings.Contains(exp, "insightalign_queue_depth 0\n") {
+		t.Errorf("insightalign_queue_depth not 0 after shutdown:\n%s", exp)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Errorf("%d goroutines after shutdown, baseline %d", n, baseline)
+	}
+}
 
 // Graceful shutdown under load: a request in flight when Shutdown begins
 // must run to completion (200), while new connections are cleanly refused
 // once the listener closes — nothing hangs, nothing is dropped mid-body.
 func TestGracefulShutdownUnderLoad(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	cfg := DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.Logger = quietLogger()
+	cfg.Metrics = obs.NewRegistry()
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -135,14 +160,17 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Shutdown never returned after the fleet drained")
 	}
+	assertQuiescent(t, s, baseline)
 }
 
 // Shutdown with many concurrent non-blocking requests: every response is
 // either a completed 200 or a clean connection error — no 5xx, no hangs.
 func TestShutdownDrainsConcurrentLoad(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	cfg := DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.Logger = quietLogger()
+	cfg.Metrics = obs.NewRegistry()
 	reg, err := NewRegistry(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
@@ -217,4 +245,5 @@ func TestShutdownDrainsConcurrentLoad(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("no requests completed before shutdown")
 	}
+	assertQuiescent(t, s, baseline)
 }

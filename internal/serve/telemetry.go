@@ -10,7 +10,7 @@ import (
 )
 
 // Histogram bounds for the serving metrics: request latency in seconds and
-// coalesced requests per decoder call.
+// requests per decoder call.
 var (
 	latencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 	batchBounds   = []float64{1, 2, 4, 8, 16, 32, 64}
@@ -29,9 +29,9 @@ const maxVersionLabels = 8
 // Metrics bridges the serving subsystem into an obs.Registry (the
 // process-wide one by default), keeping the historical insightalign_*
 // metric names: request counts and latency histograms by route, the
-// micro-batcher's coalesced batch-size histogram, admission-queue depth,
-// rejection counts by reason, and the live model version. All methods are
-// safe for concurrent use.
+// requests-per-decoder-call histogram, admission waiters, rejection counts
+// by reason, and the live model version. All methods are safe for
+// concurrent use.
 type Metrics struct {
 	reg   *obs.Registry
 	start time.Time
@@ -41,7 +41,6 @@ type Metrics struct {
 	latencyByVer *obs.Histogram // insightalign_request_duration_by_version_seconds{route,model_version}
 	qor          *obs.Histogram // insightalign_qor_logprob{model_version}
 	batch        *obs.Histogram // insightalign_batch_size
-	batchPeak    *obs.Gauge     // insightalign_batch_size_max
 	rejections   *obs.Counter   // insightalign_rejections_total{reason}
 	shed         *obs.Counter   // insightalign_serve_shed_total
 	cache        *obs.Counter   // insightalign_serve_cache_requests_total{result}
@@ -51,7 +50,6 @@ type Metrics struct {
 	exemplars atomic.Bool // attach trace-ID exemplars to latency buckets
 
 	mu       sync.Mutex
-	batchMax int      // this server's high-watermark; the gauge is registry-wide
 	versions []string // live model_version labels, least-recently-observed first
 }
 
@@ -76,9 +74,7 @@ func NewMetrics(reg *obs.Registry, queueDepth func() int, modelVersion func() st
 			"Per-recommendation decoder log-probability (QoR proxy) by model version.",
 			qorBounds, "model_version"),
 		batch: reg.Histogram("insightalign_batch_size",
-			"Requests coalesced per decoder call by the micro-batcher.", batchBounds),
-		batchPeak: reg.Gauge("insightalign_batch_size_max",
-			"Largest coalesced batch observed."),
+			"Requests per decoder call (1: every request decodes on its own).", batchBounds),
 		rejections: reg.Counter("insightalign_rejections_total",
 			"Rejected requests by reason.", "reason"),
 		shed: reg.Counter("insightalign_serve_shed_total",
@@ -95,7 +91,7 @@ func NewMetrics(reg *obs.Registry, queueDepth func() int, modelVersion func() st
 		func() float64 { return time.Since(m.start).Seconds() })
 	if queueDepth != nil {
 		reg.GaugeFunc("insightalign_queue_depth",
-			"Requests waiting in the admission queue.",
+			"Requests waiting for an admission slot.",
 			func() float64 { return float64(queueDepth()) })
 	}
 	if modelVersion != nil {
@@ -201,15 +197,9 @@ func (m *Metrics) pruneVersion(version string) {
 	m.qor.Prune(func(lv []string) bool { return len(lv) == 1 && lv[0] == version })
 }
 
-// ObserveBatch records the size of one coalesced decoder call.
+// ObserveBatch records one decoder call and how many requests it served.
 func (m *Metrics) ObserveBatch(size int) {
 	m.batch.Observe(float64(size))
-	m.batchPeak.SetMax(float64(size))
-	m.mu.Lock()
-	if size > m.batchMax {
-		m.batchMax = size
-	}
-	m.mu.Unlock()
 }
 
 // ObserveRejection records one rejected request ("queue_full",
@@ -237,14 +227,6 @@ func (m *Metrics) ObserveShed() {
 func (m *Metrics) ObserveBreakerTransition(from, to BreakerState) {
 	m.breakerTrans.Inc(to.String())
 	m.breakerState.Set(float64(to))
-}
-
-// BatchMax returns the largest coalesced batch this server has seen (the
-// exported gauge is the registry-wide maximum instead).
-func (m *Metrics) BatchMax() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.batchMax
 }
 
 // Exposition renders the backing registry's metrics page.

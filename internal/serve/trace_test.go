@@ -27,9 +27,9 @@ func waitTrace(t *testing.T, tr *obs.Tracer, id string) *obs.TraceRecord {
 }
 
 // TestTracePropagation asserts one trace ID survives the full request
-// path: HTTP handler -> admission queue -> micro-batch -> decoder session,
-// and that the same ID is echoed in the response body, the X-Trace-Id
-// header, and resolvable at /debug/traces.
+// path: HTTP handler -> admission gate -> decoder session, and that the
+// same ID is echoed in the response body, the X-Trace-Id header, and
+// resolvable at /debug/traces.
 func TestTracePropagation(t *testing.T) {
 	cfg := e2eConfig()
 	cfg.Tracer = obs.NewTracer(16)
