@@ -336,7 +336,10 @@ func TestPairLossZeroWhenMarginMet(t *testing.T) {
 	bits := make([]int, m.Cfg.NumRecipes)
 	p := pair{insight: iv, winBits: bits, losBits: bits, gap: 0}
 	// Identical sequences, zero gap: loss is exactly hinge(0 − 0) = 0.
-	if v := m.pairLoss(p, DefaultTrainOptions()).Item(); v != 0 {
+	if v := tapePairLoss(m, p, DefaultTrainOptions()).Item(); v != 0 {
+		t.Fatalf("tie pair loss = %g, want 0", v)
+	}
+	if v, gw, gl := pairTerm(p, DefaultTrainOptions()).Loss(m.SeqLogProb(iv, bits), m.SeqLogProb(iv, bits)); v != 0 || gw != 0 || gl != 0 {
 		t.Fatalf("tie pair loss = %g, want 0", v)
 	}
 }

@@ -97,6 +97,7 @@ type Model struct {
 	flatOnce sync.Once
 	flat     []*nn.FlatDecoderLayer
 	fastPool sync.Pool // *fastSession
+	seqPool  sync.Pool // *seqRecord, for SeqLogProb and SelectionProbs
 
 	// Single-layer token/position decode tables (see l0table.go), rebuilt
 	// whenever the weight snapshot they were computed from goes stale.
@@ -178,7 +179,9 @@ func (m *Model) logits(memory *tensor.Tensor, decisions []int) *tensor.Tensor {
 
 // LogProb returns the differentiable sequence log-likelihood of Eq. 3:
 // log π_φ(R | I) = Σ_t log P(r_t | r_<t, I), evaluated with teacher
-// forcing in a single decoder pass.
+// forcing in a single decoder pass on the autodiff tape. Training and
+// scoring run on the flat kernels (SeqLogProb, TrainEngine); LogProb is the
+// reference they are tested against.
 func (m *Model) LogProb(iv []float64, bits []int) *tensor.Tensor {
 	if len(bits) != m.Cfg.NumRecipes {
 		panic(fmt.Sprintf("core: %d bits, want %d", len(bits), m.Cfg.NumRecipes))
@@ -218,20 +221,6 @@ func (m *Model) StepProbNaive(iv []float64, prefix []int) float64 {
 		p = sigmoid(lg.At(len(prefix), 0))
 	})
 	return p
-}
-
-// SelectionProbs returns P(r_t = 1 | teacher-forced prefix of bits) for all
-// t in one pass — the marginal view used for reporting.
-func (m *Model) SelectionProbs(iv []float64, bits []int) []float64 {
-	out := make([]float64, len(bits))
-	tensor.NoGrad(func() {
-		memory := m.insightMemory(iv)
-		lg := m.logits(memory, bits)
-		for i := range bits {
-			out[i] = sigmoid(lg.At(i, 0))
-		}
-	})
-	return out
 }
 
 // Beam search (Algorithm 1, BEAMSEARCH): maintain the K highest-scoring
@@ -402,15 +391,13 @@ type ScoredSet struct {
 // candidates" workflow when engineers bring their own recipe ideas.
 func (m *Model) RankSets(iv []float64, sets []recipe.Set) []ScoredSet {
 	out := make([]ScoredSet, len(sets))
-	tensor.NoGrad(func() {
-		for i, s := range sets {
-			bits := s.Bits()
-			if m.Cfg.NumRecipes < recipe.N {
-				bits = bits[:m.Cfg.NumRecipes]
-			}
-			out[i] = ScoredSet{Set: s, LogProb: m.LogProb(iv, bits).Item()}
+	for i, s := range sets {
+		bits := s.Bits()
+		if m.Cfg.NumRecipes < recipe.N {
+			bits = bits[:m.Cfg.NumRecipes]
 		}
-	})
+		out[i] = ScoredSet{Set: s, LogProb: m.SeqLogProb(iv, bits)}
+	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].LogProb > out[j].LogProb })
 	return out
 }

@@ -9,7 +9,6 @@ import (
 	"insightalign/internal/dataset"
 	"insightalign/internal/nn"
 	"insightalign/internal/obs"
-	"insightalign/internal/tensor"
 )
 
 // SupervisedOptions configure the behavior-cloning baseline used by the
@@ -70,44 +69,32 @@ func (m *Model) SupervisedTrain(points []dataset.Point, opt SupervisedOptions) (
 	rng := rand.New(rand.NewSource(opt.Seed))
 	adam := nn.NewAdam(m.Params(), opt.LR)
 	adam.ClipNorm = opt.ClipNorm
-	var engine *TrainEngine
+	batch, workers := 1, 1
 	if opt.BatchSize > 0 {
-		engine = NewTrainEngine(m, opt.Workers)
+		batch, workers = opt.BatchSize, opt.Workers
 	}
+	engine := NewTrainEngine(m, workers)
 	runCtx, runSpan := obs.StartSpan(context.Background(), "supervised_train")
 	defer runSpan.End()
+	if opt.BatchSize <= 0 {
+		// The per-point schedule records no chunk span per point.
+		runCtx = context.Background()
+	}
+	terms := make([]Term, 0, batch)
 	lastNLL := 0.0
 	for e := 0; e < opt.Epochs; e++ {
 		rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 		total := 0.0
-		if engine != nil {
-			losses := make([]LossFunc, 0, opt.BatchSize)
-			for lo := 0; lo < len(targets); lo += opt.BatchSize {
-				hi := lo + opt.BatchSize
-				if hi > len(targets) {
-					hi = len(targets)
-				}
-				losses = losses[:0]
-				for _, p := range targets[lo:hi] {
-					p := p
-					losses = append(losses, func(rep *Model) *tensor.Tensor {
-						return rep.LogProb(p.Insight.Slice(), p.Set.Bits()).Neg()
-					})
-				}
-				// The NLL is never exactly zero, so no skip-zero shortcut.
-				for _, v := range engine.Accumulate(runCtx, losses, false) {
-					total += v
-				}
-				adam.Step()
+		for lo := 0; lo < len(targets); lo += batch {
+			terms = terms[:0]
+			for _, p := range targets[lo:min(lo+batch, len(targets))] {
+				terms = append(terms, Term{Insight: p.Insight.Slice(), Win: p.Set.Bits(), Loss: NLLLoss})
 			}
-		} else {
-			for _, p := range targets {
-				adam.ZeroGrad()
-				nll := m.LogProb(p.Insight.Slice(), p.Set.Bits()).Neg()
-				total += nll.Item()
-				nll.Backward()
-				adam.Step()
+			// The NLL is never exactly zero: every minibatch steps.
+			for _, v := range engine.Accumulate(runCtx, terms) {
+				total += v
 			}
+			adam.Step()
 		}
 		lastNLL = total / float64(len(targets))
 	}

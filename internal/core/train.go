@@ -11,7 +11,6 @@ import (
 	"insightalign/internal/dataset"
 	"insightalign/internal/nn"
 	"insightalign/internal/obs"
-	"insightalign/internal/tensor"
 )
 
 // Loss selects the alignment objective; used by the ablation experiments.
@@ -147,26 +146,45 @@ type pair struct {
 }
 
 // buildPairs enumerates (and optionally subsamples) preference pairs per
-// design from the training points, per Algorithm 1 line 7.
+// design from the training points, per Algorithm 1 line 7. Candidate pairs
+// are enumerated as point indices and only the kept ones are materialized:
+// each point's bits are built once and shared by its pairs, as is each
+// distinct insight slice, and the subsampling shuffle runs over the index
+// pairs with the same length — and so the same rng stream — as a shuffle
+// of the materialized pairs would.
 func buildPairs(points []dataset.Point, maxPerDesign int, minGap float64, rng *rand.Rand) []pair {
-	byDesign := map[string][]dataset.Point{}
+	byDesign := map[string][]int{}
 	var order []string
-	for _, p := range points {
+	for i, p := range points {
 		if _, ok := byDesign[p.DesignName]; !ok {
 			order = append(order, p.DesignName)
 		}
-		byDesign[p.DesignName] = append(byDesign[p.DesignName], p)
+		byDesign[p.DesignName] = append(byDesign[p.DesignName], i)
 	}
-	var pairs []pair
+	type cand struct {
+		w, l int // indices into points
+		gap  float64
+	}
+	var (
+		pairs []pair
+		cands []cand
+		bits  = make([][]int, len(points))
+	)
+	bitsOf := func(i int) []int {
+		if bits[i] == nil {
+			bits[i] = points[i].Set.Bits()
+		}
+		return bits[i]
+	}
 	for _, name := range order {
-		pts := byDesign[name]
-		var all []pair
-		for i := 0; i < len(pts); i++ {
-			for j := i + 1; j < len(pts); j++ {
-				gap := pts[i].QoR - pts[j].QoR
-				w, l := pts[i], pts[j]
+		idx := byDesign[name]
+		cands = cands[:0]
+		for a := 0; a < len(idx); a++ {
+			for b := a + 1; b < len(idx); b++ {
+				w, l := idx[a], idx[b]
+				gap := points[w].QoR - points[l].QoR
 				if gap < 0 {
-					w, l, gap = pts[j], pts[i], -gap
+					w, l, gap = l, w, -gap
 				}
 				// A zero-gap pair carries no preference: with MinQoRGap=0 it
 				// would label a "winner" by point order, injecting a
@@ -175,36 +193,42 @@ func buildPairs(points []dataset.Point, maxPerDesign int, minGap float64, rng *r
 				if gap == 0 || gap < minGap {
 					continue
 				}
-				all = append(all, pair{
-					insight: w.Insight.Slice(),
-					winBits: w.Set.Bits(),
-					losBits: l.Set.Bits(),
-					gap:     gap,
-				})
+				cands = append(cands, cand{w: w, l: l, gap: gap})
 			}
 		}
-		if maxPerDesign > 0 && len(all) > maxPerDesign {
-			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-			all = all[:maxPerDesign]
+		if maxPerDesign > 0 && len(cands) > maxPerDesign {
+			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			cands = cands[:maxPerDesign]
 		}
-		pairs = append(pairs, all...)
+		var iv []float64 // the last materialized insight, shared while it repeats
+		for _, c := range cands {
+			w := &points[c.w]
+			if iv == nil || !sameInsight(iv, w.Insight[:]) {
+				iv = w.Insight.Slice()
+			}
+			pairs = append(pairs, pair{insight: iv, winBits: bitsOf(c.w), losBits: bitsOf(c.l), gap: c.gap})
+		}
 	}
 	return pairs
 }
 
-// pairLoss evaluates the pairwise alignment loss for one oriented pair.
-// LossMDPO is Eq. 2: max(0, λ·ΔQoR − (log π(R_w|I) − log π(R_l|I))); the
-// uniform reference policy's log-ratio terms cancel. LossDPO is Eq. 1:
-// −log σ(β·(log π(R_w|I) − log π(R_l|I))).
-func (m *Model) pairLoss(p pair, opt TrainOptions) *tensor.Tensor {
-	lw := m.LogProb(p.insight, p.winBits)
-	ll := m.LogProb(p.insight, p.losBits)
-	diff := lw.Sub(ll)
-	if opt.Loss == LossDPO {
-		return diff.Scale(opt.Beta).LogSigmoid().Neg()
+func sameInsight(a, b []float64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
 	}
-	margin := tensor.Scalar(opt.Lambda * p.gap)
-	return margin.Sub(diff).Hinge()
+	return true
+}
+
+// pairTerm is the engine term of one oriented pair: Eq. 2 (LossMDPO) or
+// Eq. 1 (LossDPO).
+func pairTerm(p pair, opt TrainOptions) Term {
+	loss := MDPOLoss(opt.Lambda * p.gap)
+	if opt.Loss == LossDPO {
+		loss = DPOLoss(opt.Beta)
+	}
+	return Term{Insight: p.insight, Win: p.winBits, Los: p.losBits, Loss: loss}
 }
 
 // pairAccurate reports whether the loss value indicates the model already
@@ -217,50 +241,28 @@ func pairAccurate(v float64, p pair, opt TrainOptions) bool {
 	return v < opt.Lambda*p.gap
 }
 
-// runEpochSerial is Algorithm 1's schedule: one Adam step per pair, on the
-// calling goroutine.
-func (m *Model) runEpochSerial(adam *nn.Adam, pairs []pair, opt TrainOptions, es *EpochStats) {
-	for _, p := range pairs {
-		adam.ZeroGrad()
-		loss := m.pairLoss(p, opt)
-		v := loss.Item()
-		es.MeanLoss += v
-		if v == 0 {
-			es.ZeroLossFrac++
-		}
-		if pairAccurate(v, p, opt) {
-			es.PairAccuracy++
-		}
-		if v > 0 {
-			loss.Backward()
-			adam.Step()
-		}
-	}
-}
-
-// runEpochBatched shards each minibatch across the engine's worker pool and
-// takes one Adam step on the mean pair gradient. All forward passes in a
-// minibatch see the same parameter snapshot, so per-pair loss values — and
-// every EpochStats field except Duration/PairsPerSec — are invariant across
-// worker counts.
-func (m *Model) runEpochBatched(ctx context.Context, engine *TrainEngine, adam *nn.Adam, pairs []pair, opt TrainOptions, es *EpochStats) {
-	// Hinge subgradient at zero is zero, so satisfied-margin pairs can skip
-	// backward; the DPO loss is strictly positive so the flag is moot there.
-	skipZero := opt.Loss != LossDPO
-	losses := make([]LossFunc, 0, opt.BatchSize)
-	for lo := 0; lo < len(pairs); lo += opt.BatchSize {
-		hi := lo + opt.BatchSize
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		losses = losses[:0]
+// runEpoch shards each minibatch of batch pairs across the engine's worker
+// pool and takes one Adam step on the mean pair gradient. All forward
+// passes in a minibatch see the same parameter snapshot, so per-pair loss
+// values — and every EpochStats field except Duration/PairsPerSec — are
+// invariant across worker counts. With batch 1 on one worker this is
+// Algorithm 1's per-pair schedule: the engine's mean over one term is
+// that term's gradient, bit for bit. The per-pair schedule (BatchSize 0)
+// records no minibatch or chunk span per pair.
+func (m *Model) runEpoch(ctx context.Context, engine *TrainEngine, adam *nn.Adam, pairs []pair, opt TrainOptions, batch int, es *EpochStats) {
+	terms := make([]Term, 0, batch)
+	for lo := 0; lo < len(pairs); lo += batch {
+		hi := min(lo+batch, len(pairs))
+		terms = terms[:0]
 		for _, p := range pairs[lo:hi] {
-			p := p
-			losses = append(losses, func(rep *Model) *tensor.Tensor { return rep.pairLoss(p, opt) })
+			terms = append(terms, pairTerm(p, opt))
 		}
-		mbCtx, mbSpan := obs.StartSpan(ctx, "minibatch")
-		mbSpan.SetAttr("pairs", strconv.Itoa(hi-lo))
-		vals := engine.Accumulate(mbCtx, losses, skipZero)
+		mbCtx, mbSpan := context.Background(), (*obs.Span)(nil)
+		if opt.BatchSize > 0 {
+			mbCtx, mbSpan = obs.StartSpan(ctx, "minibatch")
+			mbSpan.SetAttr("pairs", strconv.Itoa(hi-lo))
+		}
+		vals := engine.Accumulate(mbCtx, terms)
 		step := false
 		for i, v := range vals {
 			es.MeanLoss += v
@@ -273,19 +275,21 @@ func (m *Model) runEpochBatched(ctx context.Context, engine *TrainEngine, adam *
 				es.PairAccuracy++
 			}
 		}
-		// Mirror the serial schedule: a batch whose every pair already
-		// satisfies its margin contributes no gradient and no Adam step.
+		// A batch whose every pair already satisfies its margin
+		// contributes no gradient and no Adam step.
 		if step {
 			adam.Step()
 		}
-		mbSpan.End()
+		if mbSpan != nil {
+			mbSpan.End()
+		}
 	}
 }
 
 // AlignmentTrain runs offline QoR alignment (Algorithm 1, ALIGNMENTTRAIN):
 // per-pair stochastic updates of the margin-based DPO loss with Adam, or —
-// with BatchSize > 0 — minibatch updates computed by the data-parallel
-// TrainEngine.
+// with BatchSize > 0 — minibatch updates sharded across Workers. Both run
+// on the TrainEngine's flat kernels.
 func (m *Model) AlignmentTrain(points []dataset.Point, opt TrainOptions) (*TrainStats, error) {
 	if opt.Lambda <= 0 {
 		return nil, fmt.Errorf("core: Lambda must be positive")
@@ -305,10 +309,11 @@ func (m *Model) AlignmentTrain(points []dataset.Point, opt TrainOptions) (*Train
 	rng := rand.New(rand.NewSource(opt.Seed))
 	adam := nn.NewAdam(m.Params(), opt.LR)
 	adam.ClipNorm = opt.ClipNorm
-	var engine *TrainEngine
+	batch, workers := 1, 1
 	if opt.BatchSize > 0 {
-		engine = NewTrainEngine(m, opt.Workers)
+		batch, workers = opt.BatchSize, opt.Workers
 	}
+	engine := NewTrainEngine(m, workers)
 	coreMetrics()
 	runCtx, runSpan := obs.StartSpan(context.Background(), "alignment_train")
 	runSpan.SetAttr("epochs", strconv.Itoa(opt.Epochs))
@@ -338,11 +343,7 @@ func (m *Model) AlignmentTrain(points []dataset.Point, opt TrainOptions) (*Train
 		epochSpan.SetAttr("epoch", strconv.Itoa(epoch))
 		epochSpan.SetAttr("pairs", strconv.Itoa(len(pairs)))
 		start := time.Now()
-		if engine != nil {
-			m.runEpochBatched(epochCtx, engine, adam, pairs, opt, &es)
-		} else {
-			m.runEpochSerial(adam, pairs, opt, &es)
-		}
+		m.runEpoch(epochCtx, engine, adam, pairs, opt, batch, &es)
 		epochSpan.End()
 		es.Duration = time.Since(start)
 		if es.Duration > 0 {
@@ -353,15 +354,11 @@ func (m *Model) AlignmentTrain(points []dataset.Point, opt TrainOptions) (*Train
 		es.PairAccuracy /= float64(es.Pairs)
 		if len(valPairs) > 0 {
 			correct := 0
-			tensor.NoGrad(func() {
-				for _, p := range valPairs {
-					lw := m.LogProb(p.insight, p.winBits).Item()
-					ll := m.LogProb(p.insight, p.losBits).Item()
-					if lw > ll {
-						correct++
-					}
+			for _, p := range valPairs {
+				if m.SeqLogProb(p.insight, p.winBits) > m.SeqLogProb(p.insight, p.losBits) {
+					correct++
 				}
-			})
+			}
 			es.ValAccuracy = float64(correct) / float64(len(valPairs))
 		}
 		stats.Epochs = append(stats.Epochs, es)

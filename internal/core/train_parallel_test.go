@@ -8,9 +8,9 @@ import (
 	"insightalign/internal/insight"
 )
 
-// trainedParams trains a fresh small model on the same synthetic data and
-// options (modulo workers) and returns flattened final parameters.
-func trainedParams(t *testing.T, workers int, loss Loss) ([]float64, *TrainStats) {
+// trainSetup is the shared fixture of the parallel-training tests: a
+// fresh small model, synthetic points and minibatch options.
+func trainSetup(t *testing.T, workers int, loss Loss) (*Model, []dataset.Point, TrainOptions) {
 	t.Helper()
 	m := smallModel(t, 7)
 	rng := rand.New(rand.NewSource(11))
@@ -22,25 +22,33 @@ func trainedParams(t *testing.T, workers int, loss Loss) ([]float64, *TrainStats
 	opt.BatchSize = 16
 	opt.Workers = workers
 	opt.Seed = 3
+	return m, pts, opt
+}
+
+// trainedParams trains a fresh small model on the same synthetic data and
+// options (modulo workers) and returns flattened final parameters.
+func trainedParams(t *testing.T, workers int, loss Loss) ([]float64, *TrainStats) {
+	t.Helper()
+	m, pts, opt := trainSetup(t, workers, loss)
 	st, err := m.AlignmentTrain(pts, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flat []float64
-	for _, p := range m.Params() {
-		flat = append(flat, p.Data...)
-	}
-	return flat, st
+	return flatParams(m), st
 }
 
 // TestParallelTrainEquivalence is the determinism guard for the
 // data-parallel engine: chunk boundaries and reduction order are fixed by
 // minibatch position, so final parameters must be bit-identical at any
-// worker count — not approximately equal.
+// worker count — not approximately equal — and to a twin trained on the
+// tape engine with the same chunked reduction.
 func TestParallelTrainEquivalence(t *testing.T) {
 	for _, loss := range []Loss{LossMDPO, LossDPO} {
 		p1, s1 := trainedParams(t, 1, loss)
 		p8, s8 := trainedParams(t, 8, loss)
+		tm, pts, opt := trainSetup(t, 1, loss)
+		tapeAlignmentTrain(t, tm, pts, opt)
+		assertBitsEqual(t, string(loss)+": Workers=1 vs tape twin", p1, flatParams(tm))
 		if len(p1) != len(p8) || len(p1) == 0 {
 			t.Fatalf("%s: param count mismatch: %d vs %d", loss, len(p1), len(p8))
 		}

@@ -438,7 +438,7 @@ func (e *Env) RunOnline(t4 *Table4Result, design string) (*OnlineResult, error) 
 	// offline model's proposals).
 	var seedEvals []online.Evaluation
 	for _, ev := range t4.RecPoints[design] {
-		lp := model.LogProb(iv.Slice(), ev.Set.Bits()).Item()
+		lp := model.SeqLogProb(iv.Slice(), ev.Set.Bits())
 		seedEvals = append(seedEvals, online.Evaluation{
 			Set: ev.Set, Metrics: ev.Metrics, QoR: ev.QoR, LogProbOld: lp, Iteration: -1,
 		})

@@ -125,8 +125,8 @@ func replayCompare(cand, live *serve.Snapshot, iv []float64, bits []int) (delta 
 			err = fmt.Errorf("lifecycle: replay score panic: %v", r)
 		}
 	}()
-	clp := cand.Model.LogProb(iv, bits).Item()
-	llp := live.Model.LogProb(iv, bits).Item()
+	clp := cand.Model.SeqLogProb(iv, bits)
+	llp := live.Model.SeqLogProb(iv, bits)
 	d := llp - clp
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		return 0, fmt.Errorf("lifecycle: non-finite replay delta")

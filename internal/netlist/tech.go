@@ -125,7 +125,9 @@ type kindInfo struct {
 	internalCapFF  float64 // internal switched cap factor
 }
 
-var kinds = map[CellKind]kindInfo{
+// kinds is indexed by CellKind; info maps kinds outside the table to the
+// zero kindInfo.
+var kinds = [numKinds]kindInfo{
 	Input:  {0, 0, 0, 0, 1.0, 0},
 	Output: {0, 0, 1, 0, 1.0, 0},
 	Inv:    {1.0, 1.0, 1, 1.0, 1.0, 0.5},
@@ -140,23 +142,32 @@ var kinds = map[CellKind]kindInfo{
 	DFF:    {0, 5.0, 1, 4.0, 0.5, 3.0},
 }
 
+// info returns the library characteristics of k, or the zero kindInfo
+// for a kind outside the table.
+func (k CellKind) info() kindInfo {
+	if k < 0 || k >= numKinds {
+		return kindInfo{}
+	}
+	return kinds[k]
+}
+
 // DelayFactor returns the logical-effort delay factor of a kind.
-func (k CellKind) DelayFactor() float64 { return kinds[k].delayFactor }
+func (k CellKind) DelayFactor() float64 { return k.info().delayFactor }
 
 // AreaFactor returns the layout area factor relative to a unit inverter.
-func (k CellKind) AreaFactor() float64 { return kinds[k].areaFactor }
+func (k CellKind) AreaFactor() float64 { return k.info().areaFactor }
 
 // FaninCount returns the number of input pins.
-func (k CellKind) FaninCount() int { return kinds[k].fanins }
+func (k CellKind) FaninCount() int { return k.info().fanins }
 
 // LeakFactor returns the leakage factor relative to a unit inverter.
-func (k CellKind) LeakFactor() float64 { return kinds[k].leakFactor }
+func (k CellKind) LeakFactor() float64 { return k.info().leakFactor }
 
 // ActivityFactor returns the switching-activity transfer factor.
-func (k CellKind) ActivityFactor() float64 { return kinds[k].activityFactor }
+func (k CellKind) ActivityFactor() float64 { return k.info().activityFactor }
 
 // InternalCapFactor returns the internally switched capacitance factor.
-func (k CellKind) InternalCapFactor() float64 { return kinds[k].internalCapFF }
+func (k CellKind) InternalCapFactor() float64 { return k.info().internalCapFF }
 
 // IsSequential reports whether the kind is a clocked element.
 func (k CellKind) IsSequential() bool { return k == DFF }

@@ -32,16 +32,12 @@ func TestZeroAndScaleGrads(t *testing.T) {
 	}
 }
 
-func TestGradBufferCaptureAddRoundTrip(t *testing.T) {
+func TestGradBufferAddRoundTrip(t *testing.T) {
 	ps := gradParams()
-	ps[0].Grad = []float64{1, 2, 3}
-	ps[1].Grad = []float64{-1, 10}
 	g := NewGradBuffer(ps)
-	g.CaptureFrom(ps)
+	copy(g.Of(ps[0]), []float64{1, 2, 3})
+	copy(g.Of(ps[1]), []float64{-1, 10})
 
-	// Capture is a detached copy: mutating the live grads afterwards must
-	// not change what AddInto contributes.
-	ps[0].Grad[0] = 99
 	ZeroGrads(ps)
 	g.AddInto(ps)
 	g.AddInto(ps)
@@ -51,27 +47,37 @@ func TestGradBufferCaptureAddRoundTrip(t *testing.T) {
 			t.Fatalf("after two AddInto: grad %v, want %v", ps[0].Grad, want0)
 		}
 	}
-	if ps[1].Grad[1] != 20 {
+	if ps[1].Grad[0] != -2 || ps[1].Grad[1] != 20 {
 		t.Fatalf("param 1 grad = %v, want [−2 20]", ps[1].Grad)
+	}
+	g.Zero()
+	ZeroGrads(ps)
+	g.AddInto(ps)
+	if ps[0].Grad[2] != 0 || ps[1].Grad[1] != 0 {
+		t.Fatalf("zeroed arena contributed: %v %v", ps[0].Grad, ps[1].Grad)
 	}
 }
 
-func TestGradBufferCapturesNilGradAsZero(t *testing.T) {
+// TestGradBufferViewsFollowParamOrder pins the arena layout: parameter
+// i's view is the next Numel elements of Data, in parameter order, and a
+// foreign tensor has no view.
+func TestGradBufferViewsFollowParamOrder(t *testing.T) {
 	ps := gradParams()
 	g := NewGradBuffer(ps)
-	ps[0].Grad = []float64{7, 7, 7}
-	g.CaptureFrom(ps)
-	// Second capture with a never-backwarded param must overwrite with 0.
-	ps[0].Grad = nil
-	ps[1].Grad = nil
-	g.CaptureFrom(ps)
-	target := gradParams()
-	ZeroGrads(target)
-	target[0].Grad[2] = 1
-	g.AddInto(target)
-	if target[0].Grad[0] != 0 || target[0].Grad[2] != 1 {
-		t.Fatalf("nil-grad capture contributed non-zero: %v", target[0].Grad)
+	if len(g.Data) != 5 {
+		t.Fatalf("arena length %d, want 5", len(g.Data))
 	}
+	g.Of(ps[0])[2] = 7
+	g.Of(ps[1])[0] = 8
+	if g.Data[2] != 7 || g.Data[3] != 8 {
+		t.Fatalf("views do not alias Data in parameter order: %v", g.Data)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Of on a foreign tensor did not panic")
+		}
+	}()
+	g.Of(tensor.Param(2))
 }
 
 func TestGradBufferShapeMismatchPanics(t *testing.T) {
@@ -79,8 +85,8 @@ func TestGradBufferShapeMismatchPanics(t *testing.T) {
 	g := NewGradBuffer(ps)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CaptureFrom with mismatched param list did not panic")
+			t.Fatal("AddInto with mismatched param list did not panic")
 		}
 	}()
-	g.CaptureFrom(ps[:1])
+	g.AddInto(ps[:1])
 }

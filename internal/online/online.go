@@ -22,7 +22,6 @@ import (
 	"insightalign/internal/qor"
 	"insightalign/internal/recipe"
 	"insightalign/internal/retrieve"
-	"insightalign/internal/tensor"
 )
 
 // Options configure online fine-tuning.
@@ -51,9 +50,9 @@ type Options struct {
 	// Seed drives exploration and flow noise.
 	Seed int64
 	// BatchPairs, if positive, batches each iteration's MDPO pairs into
-	// minibatch Adam steps computed by the core data-parallel TrainEngine;
+	// minibatch Adam steps sharded across the core TrainEngine's workers;
 	// 0 keeps per-pair updates. The PPO term is at most K losses per
-	// iteration and stays serial either way.
+	// iteration and stays one step per evaluation either way.
 	BatchPairs int
 	// Workers sizes the worker pool used when BatchPairs > 0 (0 = NumCPU).
 	// Updates are bit-identical at any worker count.
@@ -206,8 +205,8 @@ type Tuner struct {
 
 	rng     *rand.Rand
 	adam    *nn.Adam
-	engine  *core.TrainEngine // lazily built when BatchPairs > 0
-	exec    flow.Executor     // runner, or flow.Exec when deadlines/retries are on
+	engine  gradSource    // a *core.TrainEngine, built on the first policy update
+	exec    flow.Executor // runner, or flow.Exec when deadlines/retries are on
 	history []Evaluation
 	records []IterationRecord
 	seen    map[recipe.Set]bool
@@ -219,6 +218,13 @@ type Tuner struct {
 	// subsequent optimizer step.
 	lastGood    [][]float64
 	lastGoodOpt nn.AdamState
+}
+
+// gradSource leaves the mean gradient of a minibatch of loss terms in
+// the model's Grad buffers and returns the terms' loss values; the tuner's
+// is a *core.TrainEngine.
+type gradSource interface {
+	Accumulate(ctx context.Context, terms []core.Term) []float64
 }
 
 // NewTuner builds a tuner on top of an offline-aligned model. stats must be
@@ -328,8 +334,8 @@ func (t *Tuner) propose() []core.Candidate {
 			if containsSet(out, s) {
 				continue
 			}
-			lp := t.model.LogProb(iv, s.Bits()).Item()
-			out = append(out, core.Candidate{Set: s, LogProb: lp, Sequence: s.Bits()})
+			bits := s.Bits()
+			out = append(out, core.Candidate{Set: s, LogProb: t.model.SeqLogProb(iv, bits), Sequence: bits})
 		}
 	}
 	for _, c := range dec.BeamSearchSeeded(t.opt.K*2, seeds) {
@@ -356,8 +362,8 @@ func (t *Tuner) propose() []core.Candidate {
 		if t.seen[s] || containsSet(out, s) {
 			continue
 		}
-		lp := t.model.LogProb(t.insight.Slice(), s.Bits()).Item()
-		out = append(out, core.Candidate{Set: s, LogProb: lp, Sequence: s.Bits()})
+		bits := s.Bits()
+		out = append(out, core.Candidate{Set: s, LogProb: t.model.SeqLogProb(iv, bits), Sequence: bits})
 	}
 	return out
 }
@@ -597,76 +603,48 @@ func (t *Tuner) selectPairs(newEvals []Evaluation) []mdpoPair {
 	return sel
 }
 
-// mdpoLoss is Eq. 2 for one selected pair against the given model (the
-// tuner's model, or a worker replica under batched updates).
-func (t *Tuner) mdpoLoss(m *core.Model, iv []float64, p mdpoPair) *tensor.Tensor {
-	lw := m.LogProb(iv, p.winBits)
-	ll := m.LogProb(iv, p.losBits)
-	return tensor.Scalar(t.opt.Lambda * p.gap).Sub(lw.Sub(ll)).Hinge()
-}
-
 // update applies the MDPO + PPO parameter updates for this iteration's
-// evaluations and returns the mean loss. ctx carries the iteration's
-// policy_update span for the engine's worker-chunk children.
+// evaluations and returns the mean loss. Both run on the core TrainEngine:
+// MDPO pairs in minibatches of BatchPairs (one pair per Adam step when 0),
+// PPO one evaluation per step. ctx carries the iteration's policy_update
+// span for the engine's worker-chunk children of MDPO minibatches.
 func (t *Tuner) update(ctx context.Context, newEvals []Evaluation) float64 {
 	iv := t.insight.Slice()
 	totalLoss, updates := 0.0, 0
+	if t.engine == nil {
+		t.engine = core.NewTrainEngine(t.model, t.opt.Workers)
+	}
 
 	// --- Margin-based DPO over (new × archive) pairs ---
 	sel := t.selectPairs(newEvals)
-	if t.opt.BatchPairs > 0 {
-		if t.engine == nil {
-			t.engine = core.NewTrainEngine(t.model, t.opt.Workers)
+	batch := t.opt.BatchPairs
+	if batch <= 0 {
+		// Per-pair steps: no chunk span per pair.
+		batch, ctx = 1, context.Background()
+	}
+	terms := make([]core.Term, 0, batch)
+	for lo := 0; lo < len(sel); lo += batch {
+		terms = terms[:0]
+		for _, p := range sel[lo:min(lo+batch, len(sel))] {
+			terms = append(terms, core.Term{Insight: iv, Win: p.winBits, Los: p.losBits, Loss: core.MDPOLoss(t.opt.Lambda * p.gap)})
 		}
-		losses := make([]core.LossFunc, 0, t.opt.BatchPairs)
-		for lo := 0; lo < len(sel); lo += t.opt.BatchPairs {
-			hi := lo + t.opt.BatchPairs
-			if hi > len(sel) {
-				hi = len(sel)
-			}
-			losses = losses[:0]
-			for _, p := range sel[lo:hi] {
-				p := p
-				losses = append(losses, func(m *core.Model) *tensor.Tensor {
-					return t.mdpoLoss(m, iv, p)
-				})
-			}
-			step := false
-			for _, v := range t.engine.Accumulate(ctx, losses, true) {
-				if !finite(v) {
-					// Poisoned minibatch: discard the whole accumulated
-					// step rather than mix NaN gradients into Adam.
-					onlineNonfinite.Inc()
-					step = false
-					break
-				}
-				totalLoss += v
-				updates++
-				if v != 0 {
-					step = true
-				}
-			}
-			if step {
-				t.adam.Step()
-			}
-		}
-	} else {
-		for _, p := range sel {
-			t.adam.ZeroGrad()
-			loss := t.mdpoLoss(t.model, iv, p)
-			v := loss.Item()
+		step := false
+		for _, v := range t.engine.Accumulate(ctx, terms) {
 			if !finite(v) {
-				// A NaN/Inf pair loss would backpropagate poison into
-				// every parameter; reject it before any gradient flows.
+				// Poisoned minibatch: discard the whole accumulated
+				// step rather than mix NaN gradients into Adam.
 				onlineNonfinite.Inc()
-				continue
+				step = false
+				break
 			}
 			totalLoss += v
 			updates++
-			if v > 0 {
-				loss.Backward()
-				t.adam.Step()
+			if v != 0 {
+				step = true
 			}
+		}
+		if step {
+			t.adam.Step()
 		}
 	}
 
@@ -678,10 +656,8 @@ func (t *Tuner) update(ctx context.Context, newEvals []Evaluation) float64 {
 			if adv == 0 {
 				continue
 			}
-			t.adam.ZeroGrad()
-			lp := t.model.LogProb(iv, e.Set.Bits())
-			ratioT := lp.AddScalar(-e.LogProbOld).Exp()
-			r := ratioT.Item()
+			bits := e.Set.Bits()
+			r := math.Exp(t.model.SeqLogProb(iv, bits) + -e.LogProbOld)
 			if !finite(r) {
 				onlineNonfinite.Inc()
 				continue
@@ -690,10 +666,9 @@ func (t *Tuner) update(ctx context.Context, newEvals []Evaluation) float64 {
 			// Surrogate: min(r·A, clip(r)·A). When the clipped branch is
 			// active the gradient is zero — skip the step.
 			if r*adv <= clipped*adv+1e-12 {
-				loss := ratioT.Scale(-adv * t.opt.PPOWeight)
-				totalLoss += loss.Item()
+				terms = append(terms[:0], core.Term{Insight: iv, Win: bits, Loss: core.PPOLoss(e.LogProbOld, -adv*t.opt.PPOWeight)})
+				totalLoss += t.engine.Accumulate(context.Background(), terms)[0]
 				updates++
-				loss.Backward()
 				t.adam.Step()
 			}
 		}

@@ -2,6 +2,8 @@ package online
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,8 +11,10 @@ import (
 	"insightalign/internal/flow"
 	"insightalign/internal/insight"
 	"insightalign/internal/netlist"
+	"insightalign/internal/nn"
 	"insightalign/internal/qor"
 	"insightalign/internal/recipe"
+	"insightalign/internal/tensor"
 )
 
 // fixture builds a small design, a fresh model, an insight vector from a
@@ -337,19 +341,69 @@ func TestInsightRefreshOffKeepsConditioning(t *testing.T) {
 	}
 }
 
+// tapeSource is the tape engine the tuner trained on before the flat
+// kernels: per chunk of eight terms, a replica (parameters aliasing the
+// model's Data, private Grad) backpropagates each term's log-likelihood
+// tapes seeded with the term's loss derivatives, the second sequence's
+// subgraph first as in a pair loss's graph; chunk gradients add into the
+// model in chunk order and scale to the mean. core's TestFlatGradMatchesTape
+// holds the loss heads against the full tape loss graphs.
+type tapeSource struct {
+	t     *testing.T
+	model *core.Model
+}
+
+func (s tapeSource) Accumulate(_ context.Context, terms []core.Term) []float64 {
+	rep, err := core.New(s.model.Cfg)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	params, rp := s.model.Params(), rep.Params()
+	for i := range rp {
+		rp[i].Data = params[i].Data
+	}
+	vals := make([]float64, len(terms))
+	nn.ZeroGrads(params)
+	for lo := 0; lo < len(terms); lo += 8 {
+		nn.ZeroGrads(rp)
+		for i := lo; i < min(lo+8, len(terms)); i++ {
+			tm := terms[i]
+			lw := rep.LogProb(tm.Insight, tm.Win)
+			ll := tensor.Scalar(0)
+			if tm.Los != nil {
+				ll = rep.LogProb(tm.Insight, tm.Los)
+			}
+			v, gw, gl := tm.Loss(lw.Item(), ll.Item())
+			vals[i] = v
+			lw.Scale(gw).Add(ll.Scale(gl)).Backward()
+		}
+		for i, p := range params {
+			for j, g := range rp[i].Grad {
+				p.Grad[j] += g
+			}
+		}
+	}
+	nn.ScaleGrads(params, 1/float64(len(terms)))
+	return vals
+}
+
 // TestBatchedUpdateWorkerEquivalence extends the training engine's
-// determinism guard to the tuner: with BatchPairs set, two tuners on
-// identical fixtures must land on bit-identical parameters whether the
-// MDPO minibatches are computed by 1 worker or 8.
+// determinism guard to the tuner: two tuners on identical fixtures must
+// land on bit-identical parameters whether the MDPO minibatches are
+// computed by 1 worker or 8, and so must a twin whose updates run on the
+// tape — with minibatches and with per-pair steps.
 func TestBatchedUpdateWorkerEquivalence(t *testing.T) {
-	run := func(workers int) []float64 {
+	run := func(batch, workers int, tape bool) []float64 {
 		model, runner, iv, st := fixture(t, 85)
 		opt := fastOptions()
-		opt.BatchPairs = 8
+		opt.BatchPairs = batch
 		opt.Workers = workers
 		tuner, err := NewTuner(model, runner, iv, st, qor.Default(), opt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tape {
+			tuner.engine = tapeSource{t, model}
 		}
 		if _, err := tuner.Run(2); err != nil {
 			t.Fatal(err)
@@ -360,14 +414,27 @@ func TestBatchedUpdateWorkerEquivalence(t *testing.T) {
 		}
 		return flat
 	}
-	p1 := run(1)
-	p8 := run(8)
-	if len(p1) != len(p8) || len(p1) == 0 {
-		t.Fatalf("param count mismatch: %d vs %d", len(p1), len(p8))
-	}
-	for i := range p1 {
-		if p1[i] != p8[i] {
-			t.Fatalf("param[%d] differs: Workers=1 %v, Workers=8 %v", i, p1[i], p8[i])
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) || len(a) == 0 {
+			t.Fatalf("%s: param count mismatch: %d vs %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: param[%d] differs: %v vs %v", what, i, a[i], b[i])
+			}
 		}
 	}
+	p1 := run(8, 1, false)
+	init, _, _, _ := fixture(t, 85)
+	moved := false
+	for i, p := range init.Params()[0].Data {
+		moved = moved || p != p1[i]
+	}
+	if !moved {
+		t.Fatal("two iterations left the parameters untouched; the test compares nothing")
+	}
+	same("Workers=1 vs Workers=8", p1, run(8, 8, false))
+	same("Workers=1 vs tape twin", p1, run(8, 1, true))
+	same("per-pair vs tape twin", run(0, 0, false), run(0, 0, true))
 }

@@ -7,11 +7,25 @@ package tensor
 // the CPU advertises it and the OS saves YMM state. Both widths keep the
 // scalar reference's rounding schedule exactly — see axpy_amd64.s.
 
+// The kernels read and write through their pointer arguments only for
+// the duration of the call, so none of them escapes.
+
+//go:noescape
 func axpy4SSE(dst, b *float64, stride int, a *float64, n int)
+
+//go:noescape
 func axpy1SSE(dst, b *float64, a float64, n int)
+
+//go:noescape
 func axpy4AVX2(dst, b *float64, stride int, a *float64, n int)
+
+//go:noescape
 func axpy1AVX2(dst, b *float64, a float64, n int)
+
+//go:noescape
 func addToSSE(dst, src *float64, n int)
+
+//go:noescape
 func addToAVX2(dst, src *float64, n int)
 func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

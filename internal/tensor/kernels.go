@@ -2,14 +2,15 @@ package tensor
 
 import "math"
 
-// Tape-free flat kernels for the inference fast path.
+// Tape-free flat kernels for decoding and training.
 //
 // These operate directly on raw []float64 buffers with explicit shapes —
 // no *Tensor wrappers, no parents slices, no backward closures, and no
 // dependence on the process-global NoGrad counter. They exist so a decode
-// session can run entirely on preallocated contiguous memory (one
-// Data-plus-shape layout, the Tensor-Go style) while the tape-based ops
-// keep serving the training path untouched.
+// session, and a teacher-forced training pass with its backward, can run
+// entirely on preallocated contiguous memory (one Data-plus-shape layout,
+// the Tensor-Go style). The tape-based ops remain as the reference the
+// kernels are tested against.
 //
 // Equivalence contract: every kernel reproduces the floating-point
 // operations of its tape counterpart element for element — the same
@@ -17,6 +18,14 @@ import "math"
 // rounding points (separate passes where the tape path ran separate ops).
 // TestKernelsMatchTapeOps holds each kernel bit-exact against the op it
 // mirrors, and the core decoding equivalence suite rests on this.
+//
+// The gradient kernels (the *GradInto and *AccInto family) mirror the
+// backward closures of the tape ops. One relaxation is exact for finite
+// values and is used freely: a product with a zero factor is ±0, and
+// adding ±0 to an accumulator that started at +0 never changes it (a sum
+// of reals becomes −0 only when both addends are −0), so zero-skips may be
+// taken on either factor. What must match is the per-element order in
+// which nonzero contributions are added.
 
 // MatMulInto computes dst = a·b for a of shape (m, k) and b of shape
 // (k, n), overwriting dst (length m·n). It mirrors Tensor.MatMul: per
@@ -40,6 +49,15 @@ func MatMulInto(dst, a []float64, m, k int, b []float64, n int) {
 	for i := range dst {
 		dst[i] = 0
 	}
+	MatMulAccInto(dst, a, m, k, b, n)
+}
+
+// MatMulAccInto accumulates dst += a·b with MatMulInto's per-element
+// schedule (ascending p, zero a-elements skipped). Into a zeroed dst it is
+// MatMulInto; it is also the schedule of Tensor.MatMul's input gradient
+// dA = dC·Bᵀ when b holds Bᵀ, since that backward dot runs in ascending
+// order from zero.
+func MatMulAccInto(dst, a []float64, m, k int, b []float64, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
@@ -104,32 +122,8 @@ func LinearInto(dst, x []float64, m, k int, w []float64, n int, bias []float64) 
 // Tensor.LayerNorm followed by separate MulRow and AddRow passes, so every
 // intermediate rounds exactly where the tape path rounded.
 func NormAffineInto(dst, x []float64, m, n int, eps float64, gamma, beta []float64) {
-	nf := float64(n)
-	for i := 0; i < m; i++ {
-		row := x[i*n : (i+1)*n]
-		orow := dst[i*n : (i+1)*n]
-		mu := 0.0
-		for _, v := range row {
-			mu += v
-		}
-		mu /= nf
-		va := 0.0
-		for _, v := range row {
-			d := v - mu
-			va += d * d
-		}
-		va /= nf
-		inv := 1 / math.Sqrt(va+eps)
-		for j, v := range row {
-			orow[j] = (v - mu) * inv
-		}
-		for j := range orow {
-			orow[j] *= gamma[j]
-		}
-		for j := range orow {
-			orow[j] += beta[j]
-		}
-	}
+	LayerNormInto(dst, nil, x, m, n, eps)
+	AffineInto(dst, dst, m, n, gamma, beta)
 }
 
 // GELUInto applies the tanh-approximated GELU of Tensor.GELU elementwise,
@@ -266,6 +260,203 @@ func CausalAttendInto(ctx, q, krow, vrow, kcache, vcache []float64, tLen, dim in
 	for ; j < tLen; j++ {
 		if w := scores[j]; w != 0 {
 			axpy1(ctx, vcache[j*dim:(j+1)*dim], w)
+		}
+	}
+}
+
+// MatMulTAccInto accumulates dst += aᵀ·b for a of shape (m, k) and b of
+// shape (m, n), dst of shape (k, n): the weight-gradient schedule of
+// Tensor.MatMul's backward (dB = Aᵀ·dC). Per output element the products
+// add in ascending-i order with zero a-elements skipped, exactly as the
+// tape's dB loop; four rows of b run per axpy4 pass.
+func MatMulTAccInto(dst, a []float64, m, k int, b []float64, n int) {
+	var a4 [4]float64
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		for p := 0; p < k; p++ {
+			a4[0], a4[1], a4[2], a4[3] = a[i*k+p], a[(i+1)*k+p], a[(i+2)*k+p], a[(i+3)*k+p]
+			drow := dst[p*n : (p+1)*n]
+			if a4[0] == 0 || a4[1] == 0 || a4[2] == 0 || a4[3] == 0 {
+				for q := 0; q < 4; q++ {
+					if av := a4[q]; av != 0 {
+						axpyRow(drow, b[(i+q)*n:(i+q+1)*n], av)
+					}
+				}
+				continue
+			}
+			if n == 1 {
+				o := drow[0]
+				o += a4[0] * b[i]
+				o += a4[1] * b[i+1]
+				o += a4[2] * b[i+2]
+				o += a4[3] * b[i+3]
+				drow[0] = o
+				continue
+			}
+			axpy4(drow, b[i*n:], n, a4[:])
+		}
+	}
+	for ; i < m; i++ {
+		for p := 0; p < k; p++ {
+			if av := a[i*k+p]; av != 0 {
+				axpyRow(dst[p*n:(p+1)*n], b[i*n:(i+1)*n], av)
+			}
+		}
+	}
+}
+
+// axpyRow is axpy1 with a scalar path for the one-element rows of
+// column-vector gradients, where the SIMD call overhead dominates.
+func axpyRow(dst, src []float64, a float64) {
+	if len(dst) == 1 {
+		dst[0] += a * src[0]
+		return
+	}
+	axpy1(dst, src, a)
+}
+
+// TransposeInto writes the (n, m) transpose of the (m, n) matrix a.
+func TransposeInto(dst, a []float64, m, n int) {
+	for i := 0; i < m; i++ {
+		row := a[i*n : (i+1)*n]
+		for j, v := range row {
+			dst[j*m+i] = v
+		}
+	}
+}
+
+// RowSumAccInto accumulates every row of the (m, n) matrix g into dst in
+// ascending row order — the gradient of a broadcast row vector
+// (Tensor.AddRow's v.Grad loop).
+func RowSumAccInto(dst, g []float64, m, n int) {
+	for i := 0; i < m; i++ {
+		addTo(dst, g[i*n:(i+1)*n])
+	}
+}
+
+// LayerNormInto writes the normalized rows of the (m, n) matrix x into y
+// and, unless inv is nil, each row's inverse standard deviation into inv —
+// the forward pass of Tensor.LayerNorm, keeping what its backward reads.
+func LayerNormInto(y, inv, x []float64, m, n int, eps float64) {
+	nf := float64(n)
+	for i := 0; i < m; i++ {
+		row := x[i*n : (i+1)*n]
+		yrow := y[i*n : (i+1)*n]
+		mu := 0.0
+		for _, v := range row {
+			mu += v
+		}
+		mu /= nf
+		va := 0.0
+		for _, v := range row {
+			d := v - mu
+			va += d * d
+		}
+		va /= nf
+		s := 1 / math.Sqrt(va+eps)
+		if inv != nil {
+			inv[i] = s
+		}
+		for j, v := range row {
+			yrow[j] = (v - mu) * s
+		}
+	}
+}
+
+// AffineInto writes dst = y·γ + β row-wise for y of shape (m, n) as two
+// separately rounded passes, mirroring MulRow then AddRow. dst may alias y.
+func AffineInto(dst, y []float64, m, n int, gamma, beta []float64) {
+	for i := 0; i < m; i++ {
+		yrow := y[i*n : (i+1)*n]
+		orow := dst[i*n : (i+1)*n]
+		for j := range orow {
+			orow[j] = yrow[j] * gamma[j]
+		}
+		addTo(orow, beta)
+	}
+}
+
+// AffineGradInto is the backward of AffineInto given gn, the gradient of
+// its output: dBeta and dGamma accumulate in ascending row order
+// (AddRow's and MulRow's v.Grad loops) and gy receives the gradient of y.
+func AffineGradInto(gy, dGamma, dBeta, gn, y []float64, m, n int, gamma []float64) {
+	RowSumAccInto(dBeta, gn, m, n)
+	for i := 0; i < m; i++ {
+		grow := gn[i*n : (i+1)*n]
+		yrow := y[i*n : (i+1)*n]
+		gyrow := gy[i*n : (i+1)*n]
+		for j, g := range grow {
+			gyrow[j] = 0 + (0+g)*gamma[j]
+			dGamma[j] += g * yrow[j]
+		}
+	}
+}
+
+// LayerNormGradAccInto accumulates the input gradient of Tensor.LayerNorm
+// into dx, given gy (the gradient of its output y) and the y and inv
+// recorded by LayerNormInto, with the tape's expression and order.
+func LayerNormGradAccInto(dx, gy, y, inv []float64, m, n int) {
+	nf := float64(n)
+	for i := 0; i < m; i++ {
+		grow := gy[i*n : (i+1)*n]
+		yrow := y[i*n : (i+1)*n]
+		drow := dx[i*n : (i+1)*n]
+		sumG, sumGY := 0.0, 0.0
+		for j, g := range grow {
+			sumG += g
+			sumGY += g * yrow[j]
+		}
+		s := inv[i]
+		for j, g := range grow {
+			drow[j] += s * (g - sumG/nf - yrow[j]*sumGY/nf)
+		}
+	}
+}
+
+// GELUTrainInto is GELUInto that also records each element's tanh term in
+// th for GELUGradInto. dst may alias x; th may not.
+func GELUTrainInto(dst, th, x []float64) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	for i, v := range x {
+		t := math.Tanh(c * (v + 0.044715*v*v*v))
+		th[i] = t
+		dst[i] = 0.5 * v * (1 + t)
+	}
+}
+
+// GELUGradInto writes dx = g·GELU'(x), Tensor.GELU's backward evaluated
+// from the tanh terms GELUTrainInto recorded (the tape recomputes the
+// identical tanh from the identical expression). Like the tape it adds the
+// product to a zero gradient, so a −0 product lands as +0.
+func GELUGradInto(dx, g, x, th []float64) {
+	const c = 0.7978845608028654 // sqrt(2/pi)
+	for i, v := range x {
+		t := th[i]
+		dinner := c * (1 + 3*0.044715*v*v)
+		dx[i] = 0 + g[i]*(0.5*(1+t)+0.5*v*(1-t*t)*dinner)
+	}
+}
+
+// CausalSoftmaxGradInto is the backward of a causal softmax followed by
+// the 1/√d score scale (Tensor.SoftmaxRows with the causal mask, then
+// Tensor.Scale): for the (t, t) weights w and their gradient g, both with
+// row stride ld, it writes dst[i][j] = w·(g − Σ g·w)·scale for j ≤ i and 0
+// above the diagonal. Masked weights are exactly zero, so their terms of
+// the row dot are ±0 and are skipped.
+func CausalSoftmaxGradInto(dst, g, w []float64, t, ld int, scale float64) {
+	for i := 0; i < t; i++ {
+		wrow := w[i*ld : i*ld+i+1]
+		grow := g[i*ld : i*ld+i+1]
+		drow := dst[i*ld : (i+1)*ld]
+		dot := 0.0
+		for j, gv := range grow {
+			dot += gv * wrow[j]
+		}
+		for j, wv := range wrow {
+			drow[j] = 0 + (0+wv*(grow[j]-dot))*scale
+		}
+		for j := i + 1; j < t; j++ {
+			drow[j] = 0
 		}
 	}
 }

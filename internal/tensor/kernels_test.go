@@ -227,3 +227,104 @@ func TestAxpyKernelsMatchScalar(t *testing.T) {
 		assertBitEqual(t, "axpy4", got, want)
 	}
 }
+
+// paramOf returns a gradient-tracking tensor holding a copy of data.
+func paramOf(data []float64, rows, cols int) *Tensor {
+	p := Param(rows, cols)
+	copy(p.Data, data)
+	return p
+}
+
+// seedBackward backpropagates Σ out⊙g, which seeds out.Grad with exactly
+// g (Sum's seed 1, then Mul's 0 + 1·g).
+func seedBackward(out *Tensor, g []float64) {
+	r, c := out.Dims()
+	out.Mul(tensorOf(g, r, c)).Sum().Backward()
+}
+
+// TestGradKernelsMatchTapeBackward holds the gradient kernels bit-exact
+// against the backward closures of the tape ops they mirror, given the
+// same upstream gradient.
+func TestGradKernelsMatchTapeBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+
+	t.Run("MatMul", func(t *testing.T) {
+		for _, sh := range [][3]int{{5, 32, 32}, {9, 16, 24}, {7, 5, 1}, {40, 3, 2}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			a, b, g := randData(rng, m*k, 6), randData(rng, k*n, 0), randData(rng, m*n, 5)
+			pa, pb := paramOf(a, m, k), paramOf(b, k, n)
+			seedBackward(pa.MatMul(pb), g)
+
+			// dA = dC·Bᵀ as a forward-schedule GEMM against Bᵀ.
+			bt := make([]float64, n*k)
+			TransposeInto(bt, b, k, n)
+			da := make([]float64, m*k)
+			MatMulAccInto(da, g, m, n, bt, k)
+			assertBitEqual(t, "dA", da, pa.Grad)
+			// dB = Aᵀ·dC.
+			db := make([]float64, k*n)
+			MatMulTAccInto(db, a, m, k, g, n)
+			assertBitEqual(t, "dB", db, pb.Grad)
+		}
+	})
+
+	t.Run("NormAffine", func(t *testing.T) {
+		m, n := 6, 16
+		const eps = 1e-5
+		x, gamma, beta, g := randData(rng, m*n, 0), randData(rng, n, 0), randData(rng, n, 0), randData(rng, m*n, 7)
+		px, pg, pb := paramOf(x, m, n), paramOf(gamma, 1, n), paramOf(beta, 1, n)
+		out := px.LayerNorm(eps).MulRow(pg).AddRow(pb)
+		seedBackward(out, g)
+
+		y, inv, fwd := make([]float64, m*n), make([]float64, m), make([]float64, m*n)
+		LayerNormInto(y, inv, x, m, n, eps)
+		AffineInto(fwd, y, m, n, gamma, beta)
+		assertBitEqual(t, "forward", fwd, out.Data)
+		gy, dg, dbeta, dx := make([]float64, m*n), make([]float64, n), make([]float64, n), make([]float64, m*n)
+		AffineGradInto(gy, dg, dbeta, g, y, m, n, gamma)
+		LayerNormGradAccInto(dx, gy, y, inv, m, n)
+		assertBitEqual(t, "dGamma", dg, pg.Grad)
+		assertBitEqual(t, "dBeta", dbeta, pb.Grad)
+		assertBitEqual(t, "dX", dx, px.Grad)
+	})
+
+	t.Run("GELU", func(t *testing.T) {
+		x, g := randData(rng, 77, 9), randData(rng, 77, 6)
+		px := paramOf(x, 1, len(x))
+		out := px.GELU()
+		seedBackward(out, g)
+		y, th, dx := make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
+		GELUTrainInto(y, th, x)
+		GELUGradInto(dx, g, x, th)
+		assertBitEqual(t, "forward", y, out.Data)
+		assertBitEqual(t, "dX", dx, px.Grad)
+	})
+
+	t.Run("CausalSoftmax", func(t *testing.T) {
+		n := 11
+		scale := 1 / math.Sqrt(16)
+		mask := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				mask[i*n+j] = math.Inf(-1)
+			}
+		}
+		x, g := randData(rng, n*n, 0), randData(rng, n*n, 6)
+		px := paramOf(x, n, n)
+		w := px.Scale(scale).SoftmaxRows(mask)
+		seedBackward(w, g)
+		dst := make([]float64, n*n)
+		CausalSoftmaxGradInto(dst, g, w.Data, n, n, scale)
+		assertBitEqual(t, "dScores", dst, px.Grad)
+	})
+
+	t.Run("RowSum", func(t *testing.T) {
+		m, n := 7, 10
+		a, v, g := randData(rng, m*n, 0), randData(rng, n, 0), randData(rng, m*n, 4)
+		pv := paramOf(v, 1, n)
+		seedBackward(tensorOf(a, m, n).AddRow(pv), g)
+		dv := make([]float64, n)
+		RowSumAccInto(dv, g, m, n)
+		assertBitEqual(t, "dV", dv, pv.Grad)
+	})
+}

@@ -8,19 +8,22 @@
 // batching dimension because InsightAlign trains on one preference pair at a
 // time (Algorithm 1 of the paper).
 //
+// Training and decoding run on the tape-free kernels of kernels.go; the
+// tape is the reference those kernels are tested against (and the engine
+// of the gradient checks).
+//
 // # Tape isolation and concurrency
 //
 // There is no global tape: the "tape" is the parents/backward graph hanging
 // off each op's output tensor, so it belongs to whichever goroutine built
 // it. Goroutines may therefore build and Backward disjoint graphs
-// concurrently — this is what the data-parallel training engine does — under
-// two rules. First, the graphs must not share parameter leaves, because
-// Backward accumulates into leaf Grad buffers unsynchronized; workers get
-// replica leaves with private Grad buffers (the leaves may alias the same
-// Data, which all goroutines treat as read-only during the parallel
-// section). Second, the NoGrad switch is process-global, so a NoGrad block
-// must not overlap a concurrent gradient-building forward pass in another
-// goroutine — it would silently truncate that goroutine's tape.
+// concurrently under two rules. First, the graphs must not share parameter
+// leaves, because Backward accumulates into leaf Grad buffers
+// unsynchronized; give each goroutine replica leaves with private Grad
+// buffers (the leaves may alias the same Data, treated as read-only during
+// the parallel section). Second, the NoGrad switch is process-global, so a
+// NoGrad block must not overlap a concurrent gradient-building forward pass
+// in another goroutine — it would silently truncate that goroutine's tape.
 package tensor
 
 import (
