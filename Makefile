@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos fuzz fuzz-merge bench perfbench bench-inference bench-train bench-router bench-retrieve bench-obs serve fleet canary loadtest profile
+.PHONY: check vet build test race chaos fuzz fuzz-merge bench perfbench serve fleet canary profile
 
 check: vet build race
 
@@ -27,7 +27,7 @@ race:
 # the breaker state machine — all under the race detector.
 chaos:
 	$(GO) test -race -timeout 10m -v \
-		-run 'Chaos|FaultInject|Schedule|Plan|Apply|Degrad|Breaker|Exec|RunContext' \
+		-run 'Chaos|Schedule|Plan|Apply|Degrad|Breaker|Exec|RunContext' \
 		./internal/faultinject/ ./internal/flow/ ./internal/online/ ./internal/serve/
 
 # Coverage-guided corruption of the parameter loader (longer than CI's
@@ -60,47 +60,6 @@ perfbench:
 		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) || exit 1; \
 	done
 
-# Regenerate BENCH_inference.json: the naive full-recompute beam search vs
-# the tape-free flat-kernel fast path, the 17-design parallel fan-out, and
-# the Table-4 macro run, parsed and machine/date-stamped by cmd/benchjson.
-bench-inference:
-	$(GO) test -run '^$$' -bench 'BenchmarkBeamSearch(Naive|Cached|Batch17)$$|BenchmarkTable4ZeroShot$$' \
-		-benchtime $(or $(BENCHTIME),1s) -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_inference.json
-
-# The training pair behind BENCH_train.json: one minibatch alignment epoch
-# over the 3,000-point synthetic archive at 1 vs 8 workers. The two runs
-# produce bit-identical parameters; the ratio is the data-parallel
-# engine's wall-clock speedup on this machine.
-bench-train:
-	$(GO) test -run '^$$' -bench 'BenchmarkAlignmentTrain(Serial|Parallel)$$' -benchtime 3x -benchmem .
-
-# Regenerate BENCH_router.json: routed-throughput scaling at 1/2/4
-# replicas plus the deterministic replica kill/recovery cycle, stamped by
-# cmd/benchjson -router. On a 1-CPU box the scaling column is honestly
-# ~1x (see the report's note); the failover/breaker/trace verdicts are
-# machine-independent.
-bench-router:
-	$(GO) run ./cmd/insightalign-router bench \
-		| $(GO) run ./cmd/benchjson -router -o BENCH_router.json
-
-# Regenerate BENCH_retrieve.json: cached vs uncached serving latency
-# under a Zipf-skewed hot-key mix (hit ratio, p50/p99 split, hot-swap
-# staleness check) plus the online tuner's warm-start QoR-at-iteration-k
-# deltas, stamped by cmd/benchjson -retrieve.
-bench-retrieve:
-	$(GO) run ./cmd/insightalign-serve bench-retrieve \
-		| $(GO) run ./cmd/benchjson -retrieve -o BENCH_retrieve.json
-
-# Regenerate BENCH_obs.json: identical workloads against a fully
-# instrumented server (trace-ID exemplars, per-version latency/QoR
-# attribution, burn-rate SLO accounting) and a baseline one, plus the
-# isolated observe-path timing whose share of the decoder-path p99 is
-# the <5% overhead bound CI asserts.
-bench-obs:
-	$(GO) run ./cmd/insightalign-serve bench-obs \
-		| $(GO) run ./cmd/benchjson -obs -o BENCH_obs.json
-
 # Run the recommendation server. MODEL=path serves trained weights;
 # without it a fresh (untrained) model is served for smoke testing.
 # WATCH=dir hot-swaps the newest checkpoint in dir as it changes.
@@ -110,11 +69,14 @@ serve:
 		$(if $(MODEL),-model $(MODEL)) $(if $(WATCH),-watch $(WATCH))
 
 # One-command serving fleet: the consistent-hash router on FLEET_ADDR
-# over FLEET_REPLICAS spawned in-process replicas, smoke-tested with the
-# load generator, then torn down. Run the router alone (foreground) with:
+# over FLEET_REPLICAS spawned in-process replicas, driven by
+# `insightalign-serve loadgen` (which prints request and per-status
+# counts only), then torn down. Run the router alone (foreground) with:
 #   go run ./cmd/insightalign-router route -spawn 3
 FLEET_ADDR ?= 127.0.0.1:8090
 FLEET_REPLICAS ?= 3
+LOADTEST_CLIENTS ?= 8
+LOADTEST_REQUESTS ?= 200
 fleet:
 	@$(GO) build -o /tmp/insightalign-router ./cmd/insightalign-router
 	@/tmp/insightalign-router route -spawn $(FLEET_REPLICAS) -addr $(FLEET_ADDR) & RT=$$!; \
@@ -157,15 +119,6 @@ canary:
 	kill -TERM $$SRV 2>/dev/null; wait $$SRV 2>/dev/null; \
 	echo "canary: verdict trail journaled in $(CANARY_DIR)/lifecycle.jsonl"
 
-# Fire the load generator at a running server (`make perfbench` is the
-# oracle-checked benchmark).
-LOADTEST_URL ?= http://127.0.0.1:8080
-LOADTEST_CLIENTS ?= 8
-LOADTEST_REQUESTS ?= 200
-loadtest:
-	$(GO) run ./cmd/insightalign-serve loadgen -url $(LOADTEST_URL) \
-		-clients $(LOADTEST_CLIENTS) -requests $(LOADTEST_REQUESTS)
-
 # Capture a CPU profile of the server under load: boot a fresh-model
 # server on PROFILE_ADDR, drive it with the load generator while pulling
 # /debug/pprof/profile for PROFILE_SECONDS, then shut the server down.
@@ -177,7 +130,7 @@ profile:
 	@/tmp/insightalign-serve serve -addr $(PROFILE_ADDR) & SRV=$$!; \
 	sleep 1; \
 	( $(GO) run ./cmd/insightalign-serve loadgen -url http://$(PROFILE_ADDR) \
-		-clients $(LOADTEST_CLIENTS) -requests 100000 -timeout 60s >/dev/null & echo $$! > /tmp/ia-loadgen.pid ); \
+		-clients $(LOADTEST_CLIENTS) -requests 100000 >/dev/null & echo $$! > /tmp/ia-loadgen.pid ); \
 	curl -s -o cpu.pprof "http://$(PROFILE_ADDR)/debug/pprof/profile?seconds=$(PROFILE_SECONDS)"; \
 	kill $$(cat /tmp/ia-loadgen.pid) 2>/dev/null; kill $$SRV 2>/dev/null; rm -f /tmp/ia-loadgen.pid; \
 	echo "wrote cpu.pprof — inspect with: go tool pprof cpu.pprof"

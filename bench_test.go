@@ -276,7 +276,7 @@ func benchAlignmentTrain(b *testing.B, workers int) {
 
 // BenchmarkAlignmentTrainSerial measures one minibatch alignment epoch over
 // the 3,000-point archive with a single worker — the baseline for the
-// data-parallel engine's speedup (recorded in BENCH_train.json).
+// data-parallel engine's speedup.
 func BenchmarkAlignmentTrainSerial(b *testing.B) { benchAlignmentTrain(b, 1) }
 
 // BenchmarkAlignmentTrainParallel measures the same epoch sharded across 8
@@ -300,34 +300,10 @@ func benchModelIV(b *testing.B, seed int64) (*insightalign.Recommender, []float6
 }
 
 // BenchmarkBeamSearchK5 measures the paper's inference path: beam search
-// with width 5 over the 40 recipe decisions (KV-cached engine).
+// with width 5 over the 40 recipe decisions (KV-cached engine). Its ratio
+// to BenchmarkBeamSearchNaive in internal/core, on the same query, is the
+// incremental engine's speedup.
 func BenchmarkBeamSearchK5(b *testing.B) {
-	model, iv := benchModelIV(b, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cands := model.BeamSearch(iv, 5); len(cands) != 5 {
-			b.Fatal("wrong candidate count")
-		}
-	}
-}
-
-// BenchmarkBeamSearchNaive measures the retained full-recompute reference:
-// every step re-runs the decoder over the whole prefix for every beam.
-// The ratio to BenchmarkBeamSearchCached is the incremental engine's
-// speedup (recorded in BENCH_inference.json).
-func BenchmarkBeamSearchNaive(b *testing.B) {
-	model, iv := benchModelIV(b, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cands := model.BeamSearchNaive(iv, 5); len(cands) != 5 {
-			b.Fatal("wrong candidate count")
-		}
-	}
-}
-
-// BenchmarkBeamSearchCached measures the KV-cached incremental engine with
-// batched beams, on the same query as BenchmarkBeamSearchNaive.
-func BenchmarkBeamSearchCached(b *testing.B) {
 	model, iv := benchModelIV(b, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

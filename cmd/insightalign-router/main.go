@@ -21,18 +21,14 @@
 //	                          [-health-interval 500ms] [-eject-after 3]
 //	                          [-profile-ring=false] [-profile-dir DIR]
 //	insightalign-router route -spawn 3 [-seed 1] ...
-//	insightalign-router bench [-clients 16] [-requests 480] [-k 5] [-seed 1]
 //
 // route with -spawn N boots N in-process replicas on loopback ports (each
 // with its own fresh model) behind the router — the one-command fleet for
-// demos and load tests. bench runs the scaling sweep plus the replica
-// kill/recovery cycle and prints the JSON report consumed by
-// cmd/benchjson -router (see `make bench-router`).
+// demos and load tests.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -50,19 +46,11 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	mode := "route"
-	if len(args) > 0 && (args[0] == "route" || args[0] == "bench") {
-		mode = args[0]
+	// `route` is the only mode; the word is optional.
+	if len(args) > 0 && args[0] == "route" {
 		args = args[1:]
 	}
-	var err error
-	switch mode {
-	case "route":
-		err = cmdRoute(args)
-	case "bench":
-		err = cmdBench(args)
-	}
-	if err != nil {
+	if err := cmdRoute(args); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -185,41 +173,4 @@ func cmdRoute(args []string) error {
 	shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	return rt.Shutdown(shCtx)
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	clients := fs.Int("clients", 16, "concurrent loadgen clients per phase")
-	requests := fs.Int("requests", 480, "requests per loadgen phase")
-	k := fs.Int("k", 5, "beam width per request")
-	seed := fs.Int64("seed", 1, "model + loadgen seed")
-	killFleet := fs.Int("kill-fleet", 3, "fleet size for the kill/recovery cycle")
-	counts := fs.String("replica-counts", "1,2,4", "comma-separated fleet sizes for the scaling sweep")
-	fs.Parse(args)
-
-	opt := fleet.DefaultBenchOptions()
-	opt.Clients = *clients
-	opt.Requests = *requests
-	opt.BeamWidth = *k
-	opt.Seed = *seed
-	opt.KillFleetSize = *killFleet
-	opt.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	opt.ReplicaCounts = opt.ReplicaCounts[:0]
-	for _, s := range strings.Split(*counts, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-			return fmt.Errorf("bad -replica-counts entry %q", s)
-		}
-		opt.ReplicaCounts = append(opt.ReplicaCounts, n)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := fleet.RunFleetBench(ctx, opt)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

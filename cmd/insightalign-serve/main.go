@@ -7,8 +7,7 @@
 // /v1/recommend response carries a trace_id resolvable there), burn-rate
 // SLO verdicts at /debug/slo, a continuous-profiling ring at
 // /debug/profiles (on by default, see -profile-ring), and pprof at
-// /debug/pprof/. It also embeds a load-generator mode for benchmarking
-// a running server.
+// /debug/pprof/. Its loadgen mode drives traffic at a running server.
 //
 // Usage:
 //
@@ -19,12 +18,7 @@
 //	                           [-profile-ring=false] [-profile-dir DIR]
 //	                           [-slo-journal slo.jsonl]
 //	insightalign-serve loadgen -url http://127.0.0.1:8080 [-clients 8]
-//	                           [-requests 200] [-k 5] [-seed 1]
-//	                           [-designs 64] [-zipf 0]
-//	insightalign-serve bench-retrieve [-requests 600] [-clients 8]
-//	                           [-designs 32] [-zipf 1.5] [-iters 6] [-seed 1]
-//	insightalign-serve bench-obs [-requests 600] [-clients 8] [-designs 32]
-//	                           [-k 5] [-seed 1] [-micro-iters 50000]
+//	                           [-requests 200] [-seed 1]
 //
 // serve: without -model, a freshly initialized (untrained) model is
 // served — useful for smoke tests and load benchmarks. With -watch, the
@@ -33,19 +27,13 @@
 // downtime. -cache turns on the insight-fingerprint response cache and
 // the similarity outcome store (beam warm-starting); -retrieve-journal
 // pre-populates the store by replaying an online-tuner run journal.
-// loadgen prints a JSON latency/throughput summary to stdout; -zipf > 1
-// skews its design mix toward a hot working set. bench-retrieve is the
-// measurement behind `make bench-retrieve`: the cached-vs-uncached
-// serving benchmark plus the tuner warm-start QoR-at-iteration-k deltas,
-// as one JSON report on stdout. bench-obs is the measurement behind
-// `make bench-obs`: the instrumented-vs-baseline observability overhead
-// benchmark (exemplars + SLO accounting on vs off), as a JSON report on
-// stdout for benchjson -obs.
+// loadgen cycles 64 seeded insights through /v1/recommend and prints the
+// request, failure and per-status counts as one JSON line; it measures
+// no latency (perfbench does).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -59,7 +47,6 @@ import (
 	"insightalign/internal/lifecycle"
 	"insightalign/internal/obs"
 	"insightalign/internal/obs/slo"
-	"insightalign/internal/online"
 	"insightalign/internal/retrieve"
 	"insightalign/internal/serve"
 )
@@ -68,8 +55,7 @@ func main() {
 	args := os.Args[1:]
 	// Default to serve mode so `insightalign-serve -model m.bin` works.
 	mode := "serve"
-	if len(args) > 0 && (args[0] == "serve" || args[0] == "loadgen" ||
-		args[0] == "bench-retrieve" || args[0] == "bench-obs") {
+	if len(args) > 0 && (args[0] == "serve" || args[0] == "loadgen") {
 		mode = args[0]
 		args = args[1:]
 	}
@@ -79,10 +65,6 @@ func main() {
 		err = cmdServe(args)
 	case "loadgen":
 		err = cmdLoadgen(args)
-	case "bench-retrieve":
-		err = cmdBenchRetrieve(args)
-	case "bench-obs":
-		err = cmdBenchObs(args)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -305,138 +287,4 @@ func cmdServe(args []string) error {
 	shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	return srv.Shutdown(shCtx)
-}
-
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	url := fs.String("url", "http://127.0.0.1:8080", "server base URL")
-	clients := fs.Int("clients", 8, "concurrent clients")
-	requests := fs.Int("requests", 200, "total requests")
-	k := fs.Int("k", 5, "beam width per request")
-	seed := fs.Int64("seed", 1, "insight generation seed")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
-	designs := fs.Int("designs", 64, "distinct-design pool size")
-	zipf := fs.Float64("zipf", 0, "Zipf skew exponent for the design mix (>1 to engage; 0 = round-robin)")
-	fs.Parse(args)
-
-	opt := serve.DefaultLoadGenOptions()
-	opt.URL = *url
-	opt.Clients = *clients
-	opt.Requests = *requests
-	opt.BeamWidth = *k
-	opt.Seed = *seed
-	opt.Timeout = *timeout
-	opt.Designs = *designs
-	opt.ZipfS = *zipf
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, err := serve.RunLoadGen(ctx, opt)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// cmdBenchRetrieve is the measurement behind `make bench-retrieve`: the
-// serving-side cached-vs-uncached benchmark (Zipf hot-key mix, hot-swap
-// staleness check) plus the tuner-side warm-start QoR-at-iteration-k
-// deltas, emitted as one JSON report on stdout for benchjson -retrieve.
-func cmdBenchRetrieve(args []string) error {
-	fs := flag.NewFlagSet("bench-retrieve", flag.ExitOnError)
-	clients := fs.Int("clients", 0, "concurrent clients (0: default)")
-	requests := fs.Int("requests", 0, "requests per phase (0: default)")
-	designs := fs.Int("designs", 0, "distinct-design pool size (0: default)")
-	zipf := fs.Float64("zipf", 1.5, "Zipf skew exponent for the design mix")
-	iters := fs.Int("iters", 6, "online-tuning iterations per warm-start campaign")
-	pairs := fs.Int("pairs", 8, "independent (donor, target) design pairs averaged by the warm-start bench")
-	seed := fs.Int64("seed", 1, "benchmark seed")
-	skipTuner := fs.Bool("skip-tuner", false, "skip the warm-start tuning campaigns (cache phases only)")
-	fs.Parse(args)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	opt := serve.DefaultCacheBenchOptions()
-	if *clients > 0 {
-		opt.Clients = *clients
-	}
-	if *requests > 0 {
-		opt.Requests = *requests
-	}
-	if *designs > 0 {
-		opt.Designs = *designs
-	}
-	opt.ZipfS = *zipf
-	opt.Seed = *seed
-
-	report := struct {
-		Cache     serve.CacheBenchResult       `json:"cache"`
-		WarmStart *online.WarmStartBenchResult `json:"warm_start,omitempty"`
-	}{}
-	var err error
-	fmt.Fprintln(os.Stderr, "bench-retrieve: cache phases...")
-	report.Cache, err = serve.RunCacheBench(ctx, opt)
-	if err != nil {
-		return err
-	}
-	if !*skipTuner {
-		fmt.Fprintln(os.Stderr, "bench-retrieve: warm-start campaigns...")
-		ws, err := online.WarmStartBench(*iters, *pairs, *seed)
-		if err != nil {
-			return err
-		}
-		report.WarmStart = &ws
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
-}
-
-// cmdBenchObs is the measurement behind `make bench-obs`: an A/B run of
-// the same workload against a fully instrumented server (exemplars,
-// per-version attribution, SLO accounting) and a baseline one, plus an
-// isolated observe-path timing that expresses the per-request
-// observability cost as a share of the decoder-path p99. The JSON report
-// on stdout feeds benchjson -obs.
-func cmdBenchObs(args []string) error {
-	fs := flag.NewFlagSet("bench-obs", flag.ExitOnError)
-	clients := fs.Int("clients", 0, "concurrent clients (0: default)")
-	requests := fs.Int("requests", 0, "requests per measured pass (0: default)")
-	designs := fs.Int("designs", 0, "distinct-design pool size (0: default)")
-	k := fs.Int("k", 0, "beam width per request (0: default)")
-	seed := fs.Int64("seed", 1, "benchmark seed")
-	microIters := fs.Int("micro-iters", 0, "observe-path timing loop iterations (0: default)")
-	fs.Parse(args)
-
-	opt := serve.DefaultObsBenchOptions()
-	if *clients > 0 {
-		opt.Clients = *clients
-	}
-	if *requests > 0 {
-		opt.Requests = *requests
-	}
-	if *designs > 0 {
-		opt.Designs = *designs
-	}
-	if *k > 0 {
-		opt.BeamWidth = *k
-	}
-	if *microIters > 0 {
-		opt.MicroIters = *microIters
-	}
-	opt.Seed = *seed
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Fprintln(os.Stderr, "bench-obs: baseline + instrumented arms...")
-	res, err := serve.RunObsBench(ctx, opt)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }

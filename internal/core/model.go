@@ -209,20 +209,6 @@ func (m *Model) StepProb(iv []float64, prefix []int) float64 {
 	return m.NewDecoder(iv).StepProb(prefix)
 }
 
-// StepProbNaive is the retained full-recompute reference for StepProb, used
-// by the equivalence tests.
-func (m *Model) StepProbNaive(iv []float64, prefix []int) float64 {
-	var p float64
-	tensor.NoGrad(func() {
-		memory := m.insightMemory(iv)
-		dec := make([]int, len(prefix)+1)
-		copy(dec, prefix)
-		lg := m.logits(memory, dec)
-		p = sigmoid(lg.At(len(prefix), 0))
-	})
-	return p
-}
-
 // Beam search (Algorithm 1, BEAMSEARCH): maintain the K highest-scoring
 // partial decision sequences, extending each with r_t ∈ {0,1} per step.
 
@@ -242,102 +228,12 @@ func (m *Model) BeamSearch(iv []float64, k int) []Candidate {
 	return m.NewDecoder(iv).BeamSearch(k)
 }
 
-// BeamSearchNaive is the retained full-recompute reference implementation:
-// every step re-runs the decoder over the whole prefix for every beam
-// (O(n²·K) decoder passes). Used by the equivalence tests and the
-// BenchmarkBeamSearchNaive/Cached pair.
-func (m *Model) BeamSearchNaive(iv []float64, k int) []Candidate {
-	if k < 1 {
-		k = 1
-	}
-	type beam struct {
-		seq   []int
-		score float64
-	}
-	var beams []beam
-	tensor.NoGrad(func() {
-		memory := m.insightMemory(iv)
-		beams = []beam{{seq: nil, score: 0}}
-		for t := 0; t < m.Cfg.NumRecipes; t++ {
-			next := make([]beam, 0, 2*len(beams))
-			for _, b := range beams {
-				dec := make([]int, len(b.seq)+1)
-				copy(dec, b.seq)
-				lg := m.logits(memory, dec)
-				z := lg.At(t, 0)
-				lp1 := logSigmoid(z)
-				lp0 := logSigmoid(-z)
-				next = append(next,
-					beam{seq: append(append([]int(nil), b.seq...), 1), score: b.score + lp1},
-					beam{seq: append(append([]int(nil), b.seq...), 0), score: b.score + lp0},
-				)
-			}
-			// Keep top-K by score. Sorting unconditionally also guarantees
-			// the returned candidates are best-first.
-			sort.SliceStable(next, func(i, j int) bool { return next[i].score > next[j].score })
-			if len(next) > k {
-				next = next[:k]
-			}
-			beams = next
-		}
-	})
-	out := make([]Candidate, 0, len(beams))
-	for _, b := range beams {
-		// recipe.Set is always catalog-width; models configured with fewer
-		// recipes leave the tail unselected.
-		s, err := recipe.FromBits(padBits(b.seq, recipe.N))
-		if err != nil {
-			continue
-		}
-		out = append(out, Candidate{Set: s, LogProb: b.score, Sequence: b.seq})
-	}
-	return out
-}
-
 // Sample draws a recipe set stochastically from the policy with temperature
 // tau (1 = policy distribution, →0 = greedy). Used for online exploration.
 // It runs on the KV-cached incremental engine and consumes the same rng
 // stream as SampleNaive, so equal seeds draw equal sequences.
 func (m *Model) Sample(iv []float64, tau float64, rng *rand.Rand) Candidate {
 	return m.NewDecoder(iv).Sample(tau, rng)
-}
-
-// SampleNaive is the retained full-recompute reference for Sample, used by
-// the equivalence tests.
-func (m *Model) SampleNaive(iv []float64, tau float64, rng *rand.Rand) Candidate {
-	if tau <= 0 {
-		tau = 1e-6
-	}
-	seq := make([]int, 0, m.Cfg.NumRecipes)
-	logp := 0.0
-	tensor.NoGrad(func() {
-		memory := m.insightMemory(iv)
-		for t := 0; t < m.Cfg.NumRecipes; t++ {
-			dec := make([]int, len(seq)+1)
-			copy(dec, seq)
-			lg := m.logits(memory, dec)
-			z := lg.At(t, 0)
-			p1 := sigmoid(z / tau)
-			bit := 0
-			if rng.Float64() < p1 {
-				bit = 1
-			}
-			seq = append(seq, bit)
-			if bit == 1 {
-				logp += logSigmoid(z)
-			} else {
-				logp += logSigmoid(-z)
-			}
-		}
-	})
-	s, err := recipe.FromBits(padBits(seq, recipe.N))
-	if err != nil {
-		// Unreachable for a well-formed model: sampled bits are 0/1 and
-		// padBits yields catalog width. Matches BeamSearch, which treats a
-		// FromBits failure as a decoding invariant violation.
-		panic(fmt.Sprintf("core: sampled sequence invalid: %v", err))
-	}
-	return Candidate{Set: s, LogProb: logp, Sequence: seq}
 }
 
 func padBits(seq []int, n int) []int {

@@ -52,6 +52,33 @@ func postJSON(t *testing.T, client *http.Client, url string, body []byte) (int, 
 	return resp.StatusCode, resp.Header, raw
 }
 
+// sampleCrossHopTrace finds a trace in the shared ring whose merged span
+// set crosses the router→replica hop (a router-side "forward" span plus a
+// replica-side span under one trace ID).
+func sampleCrossHopTrace(tr *obs.Tracer) (string, []string) {
+	for _, rec := range tr.Recent(0) {
+		merged := tr.LookupMerged(rec.TraceID)
+		if merged == nil {
+			continue
+		}
+		hasForward, hasReplica := false, false
+		names := make([]string, 0, len(merged.Spans))
+		for _, sp := range merged.Spans {
+			names = append(names, sp.Name)
+			switch sp.Name {
+			case "forward":
+				hasForward = true
+			case "decoder_session", "admission_queue":
+				hasReplica = true
+			}
+		}
+		if hasForward && hasReplica {
+			return merged.TraceID, names
+		}
+	}
+	return "", nil
+}
+
 func TestFleetKillRecoveryE2E(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	tracer := obs.NewTracer(512)

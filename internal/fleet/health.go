@@ -40,8 +40,8 @@ func (rt *Router) healthLoop() {
 }
 
 // PollHealthNow runs one parallel health-poll round and applies ring
-// ejections/re-adds. Exposed so tests and the bench harness can force a
-// verdict instead of sleeping through poll intervals.
+// ejections/re-adds. Exposed so tests can force a verdict instead of
+// sleeping through poll intervals.
 func (rt *Router) PollHealthNow() {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
 	defer cancel()

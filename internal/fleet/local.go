@@ -12,8 +12,8 @@ import (
 )
 
 // LocalFleet boots N in-process serve.Servers on loopback listeners — the
-// harness behind `insightalign-router route -spawn N`, the fleet
-// benchmarks, and the kill/recovery E2E. Each replica gets its own model
+// harness behind `insightalign-router route -spawn N` and the
+// kill/recovery E2E. Each replica gets its own model
 // registry and metrics registry (separate processes would too) while all
 // replicas share one tracer with the router, so a routed request's spans
 // — router root, forward, replica handler, admission queue, decoder

@@ -49,8 +49,7 @@ type Config struct {
 	// request may be sent to, hedges excluded (default 3, clamped to the
 	// fleet size).
 	MaxAttempts int
-	// DisableHedging turns the hedged-request path off (benchmark
-	// comparison mode).
+	// DisableHedging turns the hedged-request path off (-no-hedge).
 	DisableHedging bool
 	// HedgeQuantile is the latency percentile of recent successful
 	// forwards that arms the hedge timer (default 0.95).

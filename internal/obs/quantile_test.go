@@ -62,3 +62,43 @@ func TestQuantileDur(t *testing.T) {
 		t.Fatalf("p50 = %v, want 2ms", got)
 	}
 }
+
+// TestPercentileEdgeCases pins QuantileDur's nearest-rank edge cases on
+// millisecond samples: empty, single-sample and tiny inputs, and q at 0
+// and 1.
+func TestPercentileEdgeCases(t *testing.T) {
+	ms := func(vals ...int) []time.Duration {
+		out := make([]time.Duration, len(vals))
+		for i, v := range vals {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		sorted []time.Duration
+		q      float64
+		want   time.Duration
+	}{
+		{"empty", nil, 0.5, 0},
+		{"single p50", ms(7), 0.5, 7 * time.Millisecond},
+		{"single p99", ms(7), 0.99, 7 * time.Millisecond},
+		{"single p0", ms(7), 0, 7 * time.Millisecond},
+		// Tiny samples: nearest-rank must clamp, not index out of range,
+		// and q=0.99 on n=2 picks the max.
+		{"two p99", ms(1, 9), 0.99, 9 * time.Millisecond},
+		{"two p50", ms(1, 9), 0.5, 1 * time.Millisecond},
+		{"three p99", ms(1, 5, 9), 0.99, 9 * time.Millisecond},
+		{"q=1 max", ms(1, 5, 9), 1.0, 9 * time.Millisecond},
+		{"q=0 min", ms(1, 5, 9), 0, 1 * time.Millisecond},
+		{"ten p90", ms(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 0.9, 9 * time.Millisecond},
+		{"ten p50", ms(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 0.5, 5 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := QuantileDur(tc.sorted, tc.q); got != tc.want {
+				t.Fatalf("QuantileDur(%v, %g) = %v, want %v", tc.sorted, tc.q, got, tc.want)
+			}
+		})
+	}
+}

@@ -306,8 +306,8 @@ func (t *Tuner) propose() []core.Candidate {
 	// only while the tuner has no evaluations of its own. Once records
 	// exist, the tuner's own model and history carry more signal about
 	// *this* design than a neighbor's leftover mid-tier sets, and
-	// re-seeding every iteration was measured (WarmStartBench) to crowd
-	// model-guided exploration out of the proposal list.
+	// re-seeding every iteration was measured to crowd model-guided
+	// exploration out of the proposal list (DESIGN.md §14).
 	var seeds []recipe.Set
 	if t.opt.Retrieve != nil && len(t.records) == 0 {
 		warmK := t.opt.WarmStartK

@@ -67,8 +67,8 @@ var exemplarRe = regexp.MustCompile(`# \{trace_id="([0-9a-f]{16})"\}`)
 
 // TestPerVersionMetricsAndExemplarResolution is the cross-link
 // acceptance path: serve one request, find its model-version-labelled
-// latency bucket on /metrics complete with a trace-ID exemplar, and
-// resolve that exact ID at /debug/traces?id=.
+// latency bucket on /metrics complete with a trace-ID exemplar, resolve
+// that exact ID at /debug/traces?id=, and read an ok SLO verdict.
 func TestPerVersionMetricsAndExemplarResolution(t *testing.T) {
 	ts, s, _, _ := newTestServer(t, obsConfig())
 	rr := obsRecommendOnce(t, ts, s)
@@ -115,10 +115,15 @@ func TestPerVersionMetricsAndExemplarResolution(t *testing.T) {
 			t.Fatalf("exemplar trace %s did not resolve: %d", id, tresp.StatusCode)
 		}
 	}
+
+	// Healthy traffic leaves the default objectives' verdict at ok.
+	if got := s.SLO().Worst(); got != slo.StateOK {
+		t.Fatalf("SLO worst after healthy traffic = %v, want ok", got)
+	}
 }
 
 // TestExemplarToggle asserts SetExemplars(false) stops exemplar
-// emission — the baseline arm of the overhead bench.
+// emission.
 func TestExemplarToggle(t *testing.T) {
 	ts, s, _, _ := newTestServer(t, obsConfig())
 	s.Metrics().SetExemplars(false)

@@ -100,11 +100,6 @@ type Config struct {
 	// a liveness failure, and must not make the fleet router eject the
 	// replica). nil builds a default engine (slo.DefaultObjectives).
 	SLO *slo.Engine
-	// DisableSLO leaves the engine nil instead of defaulting one in — the
-	// observability bench's baseline arm, where even the two bucket
-	// increments per request must not run. All engine call sites are
-	// nil-safe; /debug/slo then reports an empty ok verdict.
-	DisableSLO bool
 	// Profiler, if non-nil, is the continuous-profiling ring indexed at
 	// /debug/profiles. The server does not own its lifecycle; the caller
 	// that started it closes it.
@@ -209,7 +204,7 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 	if cfg.WarmSeeds < 1 {
 		cfg.WarmSeeds = 4
 	}
-	if cfg.SLO == nil && !cfg.DisableSLO {
+	if cfg.SLO == nil {
 		cfg.SLO = slo.New(slo.Config{})
 	}
 	s := &Server{cfg: cfg, reg: reg, slo: cfg.SLO, prof: cfg.Profiler,

@@ -336,27 +336,3 @@ func TestServerNoModel503(t *testing.T) {
 		t.Fatalf("no-model healthz: %d", hresp.StatusCode)
 	}
 }
-
-// The in-process load generator against a live test server — also the
-// smoke test for the loadtest make target's machinery.
-func TestLoadGenSmoke(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, e2eConfig())
-	opt := DefaultLoadGenOptions()
-	opt.URL = ts.URL
-	opt.Clients = 4
-	opt.Requests = 24
-	opt.BeamWidth = 2
-	res, err := RunLoadGen(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failures != 0 {
-		t.Fatalf("%d failures", res.Failures)
-	}
-	if res.ThroughputRPS <= 0 || res.P50MS <= 0 || res.P99MS < res.P50MS {
-		t.Fatalf("implausible result %+v", res)
-	}
-	if _, err := json.Marshal(res); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -104,8 +104,7 @@ func NewMetrics(reg *obs.Registry, queueDepth func() int, modelVersion func() st
 }
 
 // SetExemplars toggles trace-ID exemplar attachment on the latency
-// histograms (on by default). The bench harness switches it off for the
-// baseline arm of its overhead comparison.
+// histograms (on by default).
 func (m *Metrics) SetExemplars(on bool) { m.exemplars.Store(on) }
 
 // Registry returns the obs registry this bridge writes into.
