@@ -12,11 +12,10 @@
 // Usage:
 //
 //	insightalign-serve serve   -model model.bin [-addr :8080] [-watch ckpts/ -poll 2s]
-//	                           [-queue 256] [-timeout 10s] [-seed 1]
-//	                           [-cache] [-cache-size 4096] [-warm-seeds 4]
-//	                           [-retrieve-journal run.jsonl]
+//	                           [-cache] [-cache-size 4096] [-retrieve-journal run.jsonl]
 //	                           [-profile-ring=false] [-profile-dir DIR]
 //	                           [-slo-journal slo.jsonl]
+//	                           [-candidate-dir DIR -lifecycle-journal FILE ...]
 //	insightalign-serve loadgen -url http://127.0.0.1:8080 [-clients 8]
 //	                           [-requests 200] [-seed 1]
 //
@@ -27,6 +26,10 @@
 // downtime. -cache turns on the insight-fingerprint response cache and
 // the similarity outcome store (beam warm-starting); -retrieve-journal
 // pre-populates the store by replaying an online-tuner run journal.
+// -candidate-dir gates new checkpoints through shadow → canary → promote
+// instead (DESIGN.md §16). Admission, deadline and breaker limits run at
+// serve.DefaultConfig, and canary thresholds not named by a flag at
+// lifecycle.DefaultThresholds.
 // loadgen cycles 64 seeded insights through /v1/recommend and prints the
 // request, failure and per-status counts as one JSON line; it measures
 // no latency (perfbench does).
@@ -73,58 +76,33 @@ func main() {
 }
 
 func cmdServe(args []string) error {
+	cfg := serve.DefaultConfig()
+	lc := lifecycle.DefaultConfig()
+	th := &lc.Thresholds
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address")
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
 	modelPath := fs.String("model", "", "model or checkpoint file (empty: fresh untrained model)")
 	watch := fs.String("watch", "", "checkpoint directory to poll for hot-swaps")
 	poll := fs.Duration("poll", 2*time.Second, "checkpoint poll interval")
-	queue := fs.Int("queue", 256, "requests waiting for one of GOMAXPROCS decode slots (beyond it: 429)")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline")
-	seed := fs.Int64("seed", 1, "seed for the fresh model when -model is empty")
 	cache := fs.Bool("cache", false, "enable the insight-fingerprint response cache + similarity outcome store")
 	cacheSize := fs.Int("cache-size", retrieve.DefaultCacheSize, "response-cache capacity (entries)")
-	warmSeeds := fs.Int("warm-seeds", 4, "retrieved recipe sets seeding each decode (with -cache or -retrieve-journal)")
 	retrieveJournal := fs.String("retrieve-journal", "", "online-tuner run journal to replay into the outcome store at boot")
-	noBreaker := fs.Bool("no-breaker", false, "disable the backend circuit breaker")
-	brkWindow := fs.Int("breaker-window", 16, "sliding window of backend outcomes")
-	brkMin := fs.Int("breaker-min-samples", 8, "outcomes required before the breaker can trip")
-	brkRatio := fs.Float64("breaker-threshold", 0.5, "failure ratio that opens the breaker")
-	brkCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open duration before half-open probing")
-	brkProbes := fs.Int("breaker-probes", 2, "consecutive probe successes that close the breaker")
 	profileRing := fs.Bool("profile-ring", true, "continuous profiling: periodic CPU+heap pprof captures into a bounded on-disk ring at /debug/profiles")
-	profileDir := fs.String("profile-dir", "", "profile ring directory (default: <tmp>/insightalign-profiles)")
-	profileEvery := fs.Duration("profile-interval", 60*time.Second, "profile capture period")
-	profileKeep := fs.Int("profile-keep", 8, "newest profiles kept per kind in the ring")
+	profileDir := fs.String("profile-dir", filepath.Join(os.TempDir(), "insightalign-profiles"), "profile ring directory")
 	sloJournal := fs.String("slo-journal", "", "journal file for slo_alert state transitions (empty: not journaled)")
 	candDir := fs.String("candidate-dir", "", "candidate checkpoint dir: new files enter shadow→canary gating instead of hot-swapping (see -watch)")
 	lcJournal := fs.String("lifecycle-journal", "", "lifecycle event journal, opened append-mode so shadow/canary state survives restarts")
-	canaryWeight := fs.Float64("canary-weight", 0.05, "fraction of fingerprints routed to the candidate during canary")
-	shadowSamples := fs.Int("shadow-samples", 32, "shadow comparisons required before the shadow verdict")
-	minCanarySamples := fs.Int("min-canary-samples", 32, "candidate requests required before any rollback trigger")
-	promoteSamples := fs.Int("promote-samples", 200, "healthy candidate requests that trigger promotion")
-	maxQoRRegression := fs.Float64("max-qor-regression", 1.0, "mean live−candidate log-prob gap that rolls a canary back")
-	maxLatencyRatio := fs.Float64("max-latency-ratio", 3.0, "candidate/live p95 latency ratio that rolls a canary back")
-	maxErrorRatio := fs.Float64("max-error-ratio", 0.10, "candidate error fraction that rolls a canary back")
-	shadowEvery := fs.Int("shadow-every", 4, "mirror every Nth live request to the shadow candidate")
-	shadowReplay := fs.String("shadow-replay", "", "online-tuner journal replay-scored at candidate submit (shadow evidence without live traffic)")
-	quarantineDir := fs.String("quarantine-dir", "", "rolled-back candidate files are moved here (empty: left in place, hash still blacklisted)")
+	fs.StringVar(&lc.QuarantineDir, "quarantine-dir", "", "rolled-back candidate files are moved here (empty: left in place, hash still blacklisted)")
+	fs.StringVar(&lc.ShadowReplay, "shadow-replay", "", "online-tuner journal replay-scored at candidate submit (shadow evidence without live traffic)")
+	fs.Float64Var(&lc.CanaryWeight, "canary-weight", lc.CanaryWeight, "fraction of fingerprints routed to the candidate during canary")
+	fs.IntVar(&th.MinShadowSamples, "shadow-samples", th.MinShadowSamples, "shadow comparisons required before the shadow verdict")
+	fs.IntVar(&lc.ShadowSampleEvery, "shadow-every", lc.ShadowSampleEvery, "mirror every Nth live request to the shadow candidate")
+	fs.IntVar(&th.MinCanarySamples, "min-canary-samples", th.MinCanarySamples, "candidate requests required before any rollback trigger")
+	fs.IntVar(&th.PromoteSamples, "promote-samples", th.PromoteSamples, "healthy candidate requests that trigger promotion")
 	fs.Parse(args)
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	cfg := serve.DefaultConfig()
-	cfg.Addr = *addr
-	cfg.QueueDepth = *queue
-	cfg.RequestTimeout = *timeout
-	cfg.Breaker = serve.BreakerConfig{
-		Disabled:       *noBreaker,
-		Window:         *brkWindow,
-		MinSamples:     *brkMin,
-		FailureRatio:   *brkRatio,
-		Cooldown:       *brkCooldown,
-		HalfOpenProbes: *brkProbes,
-	}
 	cfg.Logger = logger
-	cfg.WarmSeeds = *warmSeeds
 	if *cache {
 		cfg.Cache = retrieve.NewCache(*cacheSize)
 		cfg.Store = retrieve.NewStore()
@@ -149,20 +127,13 @@ func cmdServe(args []string) error {
 		logger.Info("slo alerts journaled", "path", *sloJournal)
 	}
 	if *profileRing {
-		dir := *profileDir
-		if dir == "" {
-			dir = filepath.Join(os.TempDir(), "insightalign-profiles")
-		}
-		prof, err := obs.StartProfiler(obs.ProfilerConfig{
-			Dir: dir, Interval: *profileEvery, Keep: *profileKeep,
-		})
+		prof, err := obs.StartProfiler(obs.ProfilerConfig{Dir: *profileDir})
 		if err != nil {
 			return fmt.Errorf("profile ring: %w", err)
 		}
 		defer prof.Close()
 		cfg.Profiler = prof
-		logger.Info("continuous profiling on", "dir", dir,
-			"interval", profileEvery.String(), "keep", *profileKeep)
+		logger.Info("continuous profiling on", "dir", *profileDir)
 	}
 
 	reg, err := serve.NewRegistry(cfg.Model)
@@ -176,9 +147,7 @@ func cmdServe(args []string) error {
 		}
 		logger.Info("model loaded", "path", *modelPath, "version", snap.Version)
 	} else {
-		mcfg := cfg.Model
-		mcfg.Seed = *seed
-		m, err := core.New(mcfg)
+		m, err := core.New(cfg.Model)
 		if err != nil {
 			return err
 		}
@@ -200,55 +169,36 @@ func cmdServe(args []string) error {
 		if *watch != "" {
 			logger.Warn("-watch hot-swaps checkpoints ungated while -candidate-dir gates them; use one or the other")
 		}
-		met := obs.NewRegistry()
-		cfg.Metrics = met
-		var lj *obs.Journal
 		if *lcJournal != "" {
 			var err error
-			lj, err = obs.OpenJournal(*lcJournal)
-			if err != nil {
+			if lc.Journal, err = obs.OpenJournal(*lcJournal); err != nil {
 				return fmt.Errorf("lifecycle journal: %w", err)
 			}
 		}
+		cfg.Metrics = obs.NewRegistry()
+		lc.Registry, lc.Metrics, lc.Logger = reg, cfg.Metrics, logger
+		lc.OnPromote = func(prev, promoted *serve.Snapshot) {
+			logger.Info("candidate promoted", "version", promoted.Version, "source", promoted.Source)
+			if srvForHooks != nil {
+				// Retire both stale measurement scopes: the replaced
+				// live version and the candidate's canary-time tag.
+				if prev != nil {
+					srvForHooks.Metrics().EvictVersion(prev.Version)
+					srvForHooks.SLO().EvictScope(prev.Version)
+				}
+				srvForHooks.Metrics().EvictVersion("cand-" + promoted.Hash)
+				srvForHooks.SLO().EvictScope("cand-" + promoted.Hash)
+			}
+		}
+		lc.OnRollback = func(version, reason string) {
+			logger.Warn("candidate rolled back", "version", version, "reason", reason)
+			if srvForHooks != nil {
+				srvForHooks.Metrics().EvictVersion(version)
+				srvForHooks.SLO().EvictScope(version)
+			}
+		}
 		var err error
-		ctl, err = lifecycle.New(lifecycle.Config{
-			Registry: reg,
-			Journal:  lj,
-			Thresholds: lifecycle.Thresholds{
-				MinShadowSamples: *shadowSamples,
-				MinCanarySamples: *minCanarySamples,
-				PromoteSamples:   *promoteSamples,
-				MaxErrorRatio:    *maxErrorRatio,
-				MaxLatencyRatio:  *maxLatencyRatio,
-				MaxQoRRegression: *maxQoRRegression,
-			},
-			CanaryWeight:      *canaryWeight,
-			ShadowSampleEvery: *shadowEvery,
-			ShadowReplay:      *shadowReplay,
-			QuarantineDir:     *quarantineDir,
-			Metrics:           met,
-			Logger:            logger,
-			OnPromote: func(prev, promoted *serve.Snapshot) {
-				logger.Info("candidate promoted", "version", promoted.Version, "source", promoted.Source)
-				if srvForHooks != nil {
-					// Retire both stale measurement scopes: the replaced
-					// live version and the candidate's canary-time tag.
-					if prev != nil {
-						srvForHooks.Metrics().EvictVersion(prev.Version)
-						srvForHooks.SLO().EvictScope(prev.Version)
-					}
-					srvForHooks.Metrics().EvictVersion("cand-" + promoted.Hash)
-					srvForHooks.SLO().EvictScope("cand-" + promoted.Hash)
-				}
-			},
-			OnRollback: func(version, reason string) {
-				logger.Warn("candidate rolled back", "version", version, "reason", reason)
-				if srvForHooks != nil {
-					srvForHooks.Metrics().EvictVersion(version)
-					srvForHooks.SLO().EvictScope(version)
-				}
-			},
-		})
+		ctl, err = lifecycle.New(lc)
 		if err != nil {
 			return err
 		}

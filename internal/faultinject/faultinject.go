@@ -20,6 +20,8 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+
+	"insightalign/internal/mix"
 )
 
 // Kind enumerates injectable fault kinds.
@@ -98,15 +100,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg}
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
-// high-quality 64-bit mix used to derive independent decisions per run.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // unit maps a 64-bit hash to [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
@@ -116,12 +109,12 @@ func (in *Injector) Plan(run uint64) (Fault, bool) {
 	if run < in.cfg.From || (in.cfg.To > 0 && run >= in.cfg.To) {
 		return Fault{}, false
 	}
-	h := splitmix64(splitmix64(uint64(in.cfg.Seed)) ^ splitmix64(run))
+	h := mix.SplitMix64(mix.SplitMix64(uint64(in.cfg.Seed)) ^ mix.SplitMix64(run))
 	if unit(h) >= in.cfg.Rate {
 		return Fault{}, false
 	}
-	stage := in.cfg.Stages[splitmix64(h^0x5374616765)%uint64(len(in.cfg.Stages))] // "Stage"
-	kind := in.cfg.Kinds[splitmix64(h^0x4B696E64)%uint64(len(in.cfg.Kinds))]      // "Kind"
+	stage := in.cfg.Stages[mix.SplitMix64(h^0x5374616765)%uint64(len(in.cfg.Stages))] // "Stage"
+	kind := in.cfg.Kinds[mix.SplitMix64(h^0x4B696E64)%uint64(len(in.cfg.Kinds))]      // "Kind"
 	return Fault{Kind: kind, Stage: stage}, true
 }
 

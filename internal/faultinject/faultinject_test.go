@@ -3,7 +3,9 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,4 +208,20 @@ func TestBadRatePanics(t *testing.T) {
 		}
 	}()
 	New(Config{Rate: 1.5})
+}
+
+// TestPlanKnownAnswers pins the fault schedule to the one recorded before
+// the module's SplitMix64 copies were merged, so a chaos failure seen
+// under a seed replays the same faults.
+func TestPlanKnownAnswers(t *testing.T) {
+	in := New(Config{Seed: 7, Rate: 0.5, Stages: []string{"place", "route", "sta"}})
+	var got []string
+	for run := uint64(0); run < 12; run++ {
+		f, _ := in.Plan(run)
+		got = append(got, fmt.Sprint(f.Kind, "@", f.Stage))
+	}
+	want := "hang@place error@sta error@place none@ hang@sta none@ none@ none@ hang@sta none@ none@ none@"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("Plan(0..11) = %s, want %s", s, want)
+	}
 }

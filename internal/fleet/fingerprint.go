@@ -17,41 +17,25 @@
 // fleet. The two are unrelated.
 package fleet
 
-import "insightalign/internal/retrieve"
+import (
+	"insightalign/internal/mix"
+	"insightalign/internal/retrieve"
+)
 
-// fingerprintSeed separates batch fingerprints from other splitmix64
-// users in the repo. The per-vector seed lives in internal/retrieve,
-// which owns the canonical fingerprint now that the response cache and
-// the ring share one design identity.
+// fingerprintSeed separates batch routing keys from other SplitMix64
+// users in the module. Single insights route on retrieve.Fingerprint, so
+// the router and the serve-layer response cache agree on what "the same
+// design" means.
 const fingerprintSeed = 0x496e7369676874 // "Insight"
-
-// splitmix64 is the SplitMix64 finalizer — the same cheap, high-quality
-// 64-bit mix internal/faultinject uses for its schedule. The ring's
-// vnode hashing and the tests' synthetic keys use it directly.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// Fingerprint maps an insight vector to a stable 64-bit identity: the
-// consistent-hash key. It is retrieve.Fingerprint — the router and the
-// serve-layer response cache must agree on what "the same design" means,
-// or a design's cache entries would be stranded on a replica its key no
-// longer routes to.
-func Fingerprint(iv []float64) uint64 {
-	return retrieve.Fingerprint(iv)
-}
 
 // FingerprintBatch folds the element fingerprints of a client batch into
 // one routing key, so an identical batch routes to the same replica while
 // any element change moves it. The fold is order-sensitive: a batch is
 // one request, not a set.
 func FingerprintBatch(ivs [][]float64) uint64 {
-	h := splitmix64(fingerprintSeed ^ 0x4261746368) // "Batch"
+	h := mix.SplitMix64(fingerprintSeed ^ 0x4261746368) // "Batch"
 	for _, iv := range ivs {
-		h = splitmix64(h ^ Fingerprint(iv))
+		h = mix.SplitMix64(h ^ retrieve.Fingerprint(iv))
 	}
 	return h
 }

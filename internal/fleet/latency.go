@@ -21,11 +21,8 @@ type latWindow struct {
 	scratch []time.Duration
 }
 
-func newLatWindow(size int) *latWindow {
-	if size <= 0 {
-		size = 512
-	}
-	return &latWindow{buf: make([]time.Duration, size), scratch: make([]time.Duration, 0, size)}
+func newLatWindow() *latWindow {
+	return &latWindow{buf: make([]time.Duration, latencyWindow), scratch: make([]time.Duration, 0, latencyWindow)}
 }
 
 // Add records one latency sample.

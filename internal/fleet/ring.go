@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+
+	"insightalign/internal/mix"
 )
 
 // Ring is a consistent-hash ring over replica IDs with virtual nodes.
@@ -27,14 +29,8 @@ type ringPoint struct {
 	id   int // index into ids
 }
 
-// NewRing builds an empty ring with the given virtual nodes per replica
-// (<= 0 uses 64, enough to keep 3-replica shares within ~10% of uniform).
-func NewRing(vnodesPerReplica int) *Ring {
-	if vnodesPerReplica <= 0 {
-		vnodesPerReplica = 64
-	}
-	return &Ring{vnodes: vnodesPerReplica}
-}
+// NewRing builds an empty ring with the given virtual nodes per replica.
+func NewRing(vnodes int) *Ring { return &Ring{vnodes: vnodes} }
 
 // hashID hashes a replica ID string to its base ring position.
 func hashID(id string) uint64 {
@@ -59,7 +55,7 @@ func (r *Ring) Set(ids []string) bool {
 	for i, id := range sorted {
 		base := hashID(id)
 		for v := 0; v < r.vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: splitmix64(base ^ uint64(v)<<1), id: i})
+			r.points = append(r.points, ringPoint{hash: mix.SplitMix64(base ^ uint64(v)<<1), id: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })

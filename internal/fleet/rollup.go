@@ -28,7 +28,7 @@ type replicaScrape struct {
 }
 
 // scrapeReplicas fetches every configured replica's /metrics page
-// concurrently, bounded by ScrapeTimeout each, in stable id order.
+// concurrently, bounded by scrapeTimeout each, in stable id order.
 func (rt *Router) scrapeReplicas(ctx context.Context) []replicaScrape {
 	out := make([]replicaScrape, len(rt.ids))
 	var wg sync.WaitGroup
@@ -36,7 +36,7 @@ func (rt *Router) scrapeReplicas(ctx context.Context) []replicaScrape {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, rt.cfg.ScrapeTimeout)
+			sctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 			defer cancel()
 			out[i] = replicaScrape{id: id}
 			req, err := http.NewRequestWithContext(sctx, http.MethodGet, id+"/metrics", nil)

@@ -17,6 +17,7 @@ import (
 
 	"insightalign/internal/obs"
 	"insightalign/internal/obs/slo"
+	"insightalign/internal/retrieve"
 	"insightalign/internal/serve"
 )
 
@@ -26,57 +27,35 @@ type Config struct {
 	Addr string
 	// Replicas are the backend base URLs ("http://127.0.0.1:8081", ...).
 	Replicas []string
-	// VNodesPerReplica sets the consistent-hash ring's virtual nodes per
-	// replica (default 64).
-	VNodesPerReplica int
-	// LoadFactor is the bounded-load consistent-hashing factor c: a
-	// replica whose in-flight count exceeds c * (fleet inflight / healthy
-	// replicas) + 1 is skipped in favor of the next replica in ring
-	// order, so one hot design cannot melt its owner (default 1.25).
-	LoadFactor float64
-	// MaxInflight bounds concurrent forwards per replica (default 32).
+	// MaxInflight bounds concurrent forwards per replica.
 	MaxInflight int
 	// QueueDepth bounds waiters per replica beyond MaxInflight; past it
-	// the replica counts as saturated (default 64).
+	// the replica counts as saturated.
 	QueueDepth int
 	// QueueWait is the longest a request waits for an admission slot
-	// before the fleet is declared saturated (default 100ms).
+	// before the fleet is declared saturated.
 	QueueWait time.Duration
-	// RequestTimeout is the end-to-end routed request deadline
-	// (default 15s).
+	// RequestTimeout is the end-to-end routed request deadline.
 	RequestTimeout time.Duration
 	// MaxAttempts bounds failover: how many distinct replicas one
-	// request may be sent to, hedges excluded (default 3, clamped to the
-	// fleet size).
+	// request may be sent to, hedges excluded (clamped to the fleet
+	// size).
 	MaxAttempts int
-	// DisableHedging turns the hedged-request path off (-no-hedge).
+	// DisableHedging turns the hedged-request path off; tests use it to
+	// keep per-replica hit counts deterministic.
 	DisableHedging bool
-	// HedgeQuantile is the latency percentile of recent successful
-	// forwards that arms the hedge timer (default 0.95).
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge trigger so a cold or very fast
-	// fleet does not hedge every request (default 5ms).
-	HedgeMinDelay time.Duration
-	// HedgeMaxConcurrent caps in-flight hedges fleet-wide; beyond it
-	// hedges are denied, not queued (default 8).
-	HedgeMaxConcurrent int
-	// LatencyWindow is how many recent forward latencies feed the hedge
-	// trigger percentile (default 512).
-	LatencyWindow int
-	// HealthInterval is the /healthz polling period (default 500ms).
+	// HealthInterval is the /healthz polling period.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (default: HealthInterval).
+	// HealthTimeout bounds one health probe (zero: HealthInterval).
 	HealthTimeout time.Duration
 	// EjectAfter is how many consecutive failed health polls eject a
 	// replica from the ring (rebalancing its keys to the survivors);
-	// one successful poll re-adds it (default 3).
+	// one successful poll re-adds it.
 	EjectAfter int
 	// Breaker configures the per-replica router-side circuit breaker
 	// (reusing serve.Breaker); observed forward failures open it and the
 	// replica is skipped until its probes succeed.
 	Breaker serve.BreakerConfig
-	// Transport overrides the forwarding round-tripper (test seam).
-	Transport http.RoundTripper
 	// Logger receives structured router logs; nil means slog.Default().
 	Logger *slog.Logger
 	// Metrics is the registry the fleet metric families bind into; nil
@@ -94,28 +73,48 @@ type Config struct {
 	// Profiler, if non-nil, is the continuous-profiling ring indexed at
 	// /debug/profiles; lifecycle owned by the caller.
 	Profiler *obs.Profiler
-	// ScrapeTimeout bounds one replica /metrics fetch for the fleet
-	// roll-up endpoints (default 2s).
-	ScrapeTimeout time.Duration
 }
 
-// DefaultConfig returns production-leaning routing defaults.
+// Fixed routing parameters. None is a Config field: no deployment or test
+// has needed another value.
+const (
+	// vnodesPerReplica is the consistent-hash ring's virtual nodes per
+	// replica, enough to keep 3-replica shares within ~10% of uniform.
+	vnodesPerReplica = 64
+	// loadFactor is the bounded-load consistent-hashing factor c: a
+	// replica whose in-flight count exceeds c * (fleet inflight / healthy
+	// replicas) + 1 is skipped in favor of the next replica in ring
+	// order, so one hot design cannot melt its owner.
+	loadFactor = 1.25
+	// hedgeQuantile is the latency percentile of recent successful
+	// forwards that arms the hedge timer.
+	hedgeQuantile = 0.95
+	// hedgeMinDelay floors the hedge trigger so a cold or very fast
+	// fleet does not hedge every request.
+	hedgeMinDelay = 5 * time.Millisecond
+	// hedgeMaxConcurrent caps in-flight hedges fleet-wide; beyond it
+	// hedges are denied, not queued.
+	hedgeMaxConcurrent = 8
+	// latencyWindow is how many recent forward latencies feed the hedge
+	// trigger percentile.
+	latencyWindow = 512
+	// scrapeTimeout bounds one replica /metrics fetch for the fleet
+	// roll-up endpoints.
+	scrapeTimeout = 2 * time.Second
+)
+
+// DefaultConfig returns the routing defaults; it is the only place they
+// are written.
 func DefaultConfig() Config {
 	return Config{
-		Addr:               ":8090",
-		VNodesPerReplica:   64,
-		LoadFactor:         1.25,
-		MaxInflight:        32,
-		QueueDepth:         64,
-		QueueWait:          100 * time.Millisecond,
-		RequestTimeout:     15 * time.Second,
-		MaxAttempts:        3,
-		HedgeQuantile:      0.95,
-		HedgeMinDelay:      5 * time.Millisecond,
-		HedgeMaxConcurrent: 8,
-		LatencyWindow:      512,
-		HealthInterval:     500 * time.Millisecond,
-		EjectAfter:         3,
+		Addr:           ":8090",
+		MaxInflight:    32,
+		QueueDepth:     64,
+		QueueWait:      100 * time.Millisecond,
+		RequestTimeout: 15 * time.Second,
+		MaxAttempts:    3,
+		HealthInterval: 500 * time.Millisecond,
+		EjectAfter:     3,
 		Breaker: serve.BreakerConfig{
 			Window:         16,
 			MinSamples:     4,
@@ -152,46 +151,36 @@ type Router struct {
 }
 
 // New builds a Router over the configured replica set and starts its
-// health-polling loop; callers must Shutdown to stop it.
+// health-polling loop; callers must Shutdown to stop it. Unset limits
+// take their DefaultConfig values.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas configured")
 	}
-	if cfg.LoadFactor <= 1 {
-		cfg.LoadFactor = 1.25
-	}
+	def := DefaultConfig()
 	if cfg.MaxInflight < 1 {
-		cfg.MaxInflight = 32
+		cfg.MaxInflight = def.MaxInflight
 	}
 	if cfg.QueueDepth < 0 {
 		cfg.QueueDepth = 0
 	}
 	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
+		cfg.QueueWait = def.QueueWait
 	}
 	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 15 * time.Second
+		cfg.RequestTimeout = def.RequestTimeout
 	}
 	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.95
-	}
-	if cfg.HedgeMinDelay <= 0 {
-		cfg.HedgeMinDelay = 5 * time.Millisecond
-	}
-	if cfg.HedgeMaxConcurrent < 1 {
-		cfg.HedgeMaxConcurrent = 8
+		cfg.MaxAttempts = def.MaxAttempts
 	}
 	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 500 * time.Millisecond
+		cfg.HealthInterval = def.HealthInterval
 	}
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = cfg.HealthInterval
 	}
 	if cfg.EjectAfter < 1 {
-		cfg.EjectAfter = 3
+		cfg.EjectAfter = def.EjectAfter
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -202,20 +191,17 @@ func New(cfg Config) (*Router, error) {
 	if cfg.SLO == nil {
 		cfg.SLO = slo.New(slo.Config{MaxScopes: len(cfg.Replicas) + 4})
 	}
-	if cfg.ScrapeTimeout <= 0 {
-		cfg.ScrapeTimeout = 2 * time.Second
-	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VNodesPerReplica),
+		ring:     NewRing(vnodesPerReplica),
 		reps:     make(map[string]*Replica, len(cfg.Replicas)),
 		met:      NewMetrics(cfg.Metrics),
-		lat:      newLatWindow(cfg.LatencyWindow),
+		lat:      newLatWindow(),
 		slo:      cfg.SLO,
 		prof:     cfg.Profiler,
 		tracer:   cfg.Tracer,
 		log:      cfg.Logger,
-		hedgeSem: make(chan struct{}, cfg.HedgeMaxConcurrent),
+		hedgeSem: make(chan struct{}, hedgeMaxConcurrent),
 		stopc:    make(chan struct{}),
 	}
 	for _, raw := range cfg.Replicas {
@@ -237,15 +223,11 @@ func New(cfg Config) (*Router, error) {
 	if rt.ring.Set(rt.ids) {
 		rt.met.ObserveRebuild()
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 128,
-			IdleConnTimeout:     60 * time.Second,
-		}
-	}
-	rt.client = &http.Client{Transport: transport}
+	rt.client = &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 128,
+		IdleConnTimeout:     60 * time.Second,
+	}}
 	rt.httpSrv = &http.Server{Addr: cfg.Addr, Handler: rt.Handler()}
 	rt.wg.Add(1)
 	go rt.healthLoop()
@@ -354,10 +336,6 @@ func (a attemptResult) terminal() bool {
 	return false
 }
 
-// retryable is the complement of terminal for results that came from an
-// actual send.
-func (a attemptResult) retryable() bool { return !a.terminal() }
-
 // maxBodyBytes bounds both the client request body and the relayed
 // replica response body.
 const maxBodyBytes = 8 << 20
@@ -412,7 +390,7 @@ func routingKey(path string, body []byte) (uint64, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return 0, fmt.Errorf("invalid JSON body: %v", err)
 	}
-	return Fingerprint(req.Insight), nil
+	return retrieve.Fingerprint(req.Insight), nil
 }
 
 // shedResult is the terminal "nowhere to send this" outcome.
@@ -559,7 +537,7 @@ func (rt *Router) pickHedge(order []string, tried map[string]bool) *picked {
 	return nil
 }
 
-// loadLimit is the bounded-load cap: LoadFactor times the mean in-flight
+// loadLimit is the bounded-load cap: loadFactor times the mean in-flight
 // per healthy replica, plus one so an idle fleet is never starved.
 func (rt *Router) loadLimit() int64 {
 	var total, healthy int64
@@ -572,13 +550,13 @@ func (rt *Router) loadLimit() int64 {
 	if healthy == 0 {
 		healthy = 1
 	}
-	return int64(rt.cfg.LoadFactor*float64(total)/float64(healthy)) + 1
+	return int64(loadFactor*float64(total)/float64(healthy)) + 1
 }
 
 // attemptWithHedge sends to the picked replica and, when the response
 // runs past the hedge trigger (and hedging is enabled for this attempt),
 // races a second replica: first usable response wins and the loser's
-// context is canceled. Hedges are capped by HedgeMaxConcurrent.
+// context is canceled. Hedges are capped by hedgeMaxConcurrent.
 func (rt *Router) attemptWithHedge(ctx context.Context, primary *picked, order []string, tried map[string]bool, path, traceID string, body []byte, mayHedge bool) attemptResult {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -616,11 +594,11 @@ func (rt *Router) attemptWithHedge(ctx context.Context, primary *picked, order [
 		rt.met.HedgeFinished()
 	}()
 	first := <-resc
-	if first.retryable() {
+	if !first.terminal() {
 		// The first responder failed; the other leg is still live and may
 		// yet deliver.
 		second := <-resc
-		if second.retryable() {
+		if !second.terminal() {
 			rt.met.ObserveHedge("lost")
 			return first
 		}
@@ -637,13 +615,9 @@ func (rt *Router) attemptWithHedge(ctx context.Context, primary *picked, order [
 }
 
 // hedgeDelay is the current hedge trigger: the latency window's
-// HedgeQuantile, floored at HedgeMinDelay.
+// hedgeQuantile, floored at hedgeMinDelay.
 func (rt *Router) hedgeDelay() time.Duration {
-	d := rt.lat.Percentile(rt.cfg.HedgeQuantile)
-	if d < rt.cfg.HedgeMinDelay {
-		d = rt.cfg.HedgeMinDelay
-	}
-	return d
+	return max(rt.lat.Percentile(hedgeQuantile), hedgeMinDelay)
 }
 
 // send forwards the body to one replica, classifies the outcome, feeds
@@ -753,8 +727,10 @@ func (rt *Router) writeResult(w http.ResponseWriter, r *http.Request, res attemp
 	case res.outcome == outcomeTimeout:
 		rt.writeError(w, r, http.StatusGatewayTimeout, "fleet: routed request deadline exceeded")
 	case res.outcomeIsRelayable():
-		if ct := res.header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
+		for _, h := range []string{"Content-Type", "Retry-After"} {
+			if v := res.header.Get(h); v != "" {
+				w.Header().Set(h, v)
+			}
 		}
 		w.Header().Set("X-Fleet-Replica", res.replica)
 		w.WriteHeader(res.status)
@@ -774,9 +750,16 @@ func (rt *Router) writeResult(w http.ResponseWriter, r *http.Request, res attemp
 }
 
 // outcomeIsRelayable reports whether the attempt carries a replica
-// response the client should see verbatim.
+// response the client should see verbatim. A 429 or 503 that is still
+// the outcome once failover is spent means the whole fleet is saturated
+// or unavailable: the client gets that answer and its Retry-After, not a
+// 502.
 func (a attemptResult) outcomeIsRelayable() bool {
-	return a.outcome == outcomeOK || a.outcome == outcomeClientError
+	switch a.outcome {
+	case outcomeOK, outcomeClientError, outcomeSaturated, outcomeUnavailable:
+		return true
+	}
+	return false
 }
 
 // ReloadVerdict is one replica's outcome of a fleet-wide reload fan-out.

@@ -9,12 +9,15 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"insightalign/internal/mix"
 	"insightalign/internal/obs"
 	"insightalign/internal/serve"
 )
@@ -217,52 +220,87 @@ func TestRouterShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-func TestRouterHedgeWinsOverSlowPrimary(t *testing.T) {
-	stall := 400 * time.Millisecond
-	var slowURL string
-	handler := func(w http.ResponseWriter, r *http.Request) {
-		// The replica that owns the key stalls; any other replica answers
-		// immediately, so a won hedge is the only way to a fast 200.
-		if "http://"+r.Host == slowURL {
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(stall):
+// TestRouterRelaysSaturatedFleet: when every replica answers 429 or 503,
+// failover is spent and the client must see that answer, its body and its
+// Retry-After, not a 502 that blames the router.
+func TestRouterRelaysSaturatedFleet(t *testing.T) {
+	for _, code := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		t.Run(strconv.Itoa(code), func(t *testing.T) {
+			body := fmt.Sprintf(`{"error":"replica says %d"}`, code)
+			busy := func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Retry-After", "7")
+				w.WriteHeader(code)
+				io.WriteString(w, body)
 			}
-		}
-		okRecommend(w, r)
+			a, b := newStubReplica(busy), newStubReplica(busy)
+			defer a.srv.Close()
+			defer b.srv.Close()
+			cfg := DefaultConfig()
+			cfg.DisableHedging = true
+			w := postRecommend(t, testRouter(t, cfg, a.srv.URL, b.srv.URL).Handler(), recommendBody(1, 2, 3))
+			if w.Code != code || w.Header().Get("Retry-After") != "7" || w.Body.String() != body {
+				t.Fatalf("got %d Retry-After %q body %q, want the replicas' %d, 7, %q",
+					w.Code, w.Header().Get("Retry-After"), w.Body.String(), code, body)
+			}
+			if a.hits.Load() != 1 || b.hits.Load() != 1 {
+				t.Fatalf("hits %d/%d, want one forward to each replica", a.hits.Load(), b.hits.Load())
+			}
+		})
 	}
-	var stubs []*stubReplica
-	var urls []string
-	for i := 0; i < 2; i++ {
-		s := newStubReplica(handler)
-		defer s.srv.Close()
-		stubs = append(stubs, s)
-		urls = append(urls, s.srv.URL)
-	}
-	cfg := DefaultConfig()
-	cfg.HedgeMinDelay = 10 * time.Millisecond
-	rt := testRouter(t, cfg, urls...)
-	h := rt.Handler()
+}
 
-	body := recommendBody(9, 9, 9)
-	slowURL = rt.Ring().Owner(routingKeyForTest(t, body))
+// TestRouterHedgeWinsOverSlowPrimary stalls the owner of the first of n
+// distinct insights on every request; a won hedge is the only way to a
+// fast 200 for its keys. Over many keys it pins the adaptive trigger:
+// canceled primaries never enter the latency window, so the trigger stays
+// at its floor and the client p95 far below the stall.
+func TestRouterHedgeWinsOverSlowPrimary(t *testing.T) {
+	const stall = 400 * time.Millisecond
+	for _, n := range []int{1, 100} {
+		t.Run(fmt.Sprint(n, " keys"), func(t *testing.T) {
+			var slowURL string
+			handler := func(w http.ResponseWriter, r *http.Request) {
+				if "http://"+r.Host == slowURL {
+					select {
+					case <-r.Context().Done():
+						return
+					case <-time.After(stall):
+					}
+				}
+				okRecommend(w, r)
+			}
+			a, b := newStubReplica(handler), newStubReplica(handler)
+			defer a.srv.Close()
+			defer b.srv.Close()
+			rt := testRouter(t, DefaultConfig(), a.srv.URL, b.srv.URL)
+			slowURL = rt.Ring().Owner(routingKeyForTest(t, recommendBody(0, 9, 9)))
 
-	t0 := time.Now()
-	w := postRecommend(t, h, body)
-	dur := time.Since(t0)
-	if w.Code != http.StatusOK {
-		t.Fatalf("hedged request got %d: %s", w.Code, w.Body.String())
-	}
-	if dur >= stall {
-		t.Fatalf("request took %v, want hedge to beat the %v stall", dur, stall)
-	}
-	if got := w.Header().Get("X-Fleet-Replica"); got == slowURL {
-		t.Fatalf("winning replica %q is the stalled owner", got)
-	}
-	expo := rt.Metrics().Registry().Exposition()
-	if !strings.Contains(expo, `insightalign_fleet_hedges_total{result="won"} 1`) {
-		t.Fatalf("hedge won metric not recorded:\n%s", expo)
+			var lat []time.Duration
+			slowKeys := 0
+			for i := 0; i < n; i++ {
+				body := recommendBody(float64(i), 9, 9)
+				if rt.Ring().Owner(routingKeyForTest(t, body)) == slowURL {
+					slowKeys++
+				}
+				t0 := time.Now()
+				w := postRecommend(t, rt.Handler(), body)
+				lat = append(lat, time.Since(t0))
+				if w.Code != http.StatusOK || w.Header().Get("X-Fleet-Replica") == slowURL {
+					t.Fatalf("request %d: %d from %q, want 200 from the fast replica", i, w.Code, w.Header().Get("X-Fleet-Replica"))
+				}
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			if p95 := obs.QuantileDur(lat, 0.95); p95 >= stall/4 {
+				t.Fatalf("p95 %v with hedging, want well under the %v stall", p95, stall)
+			}
+			if d := rt.hedgeDelay(); d != hedgeMinDelay {
+				t.Fatalf("hedge trigger %v after %d requests, want the %v floor", d, n, hedgeMinDelay)
+			}
+			want := fmt.Sprintf(`insightalign_fleet_hedges_total{result="won"} %d`, slowKeys)
+			if expo := rt.Metrics().Registry().Exposition(); !strings.Contains(expo, want) {
+				t.Fatalf("want %q in the exposition:\n%s", want, expo)
+			}
+		})
 	}
 }
 
@@ -302,7 +340,7 @@ func TestRouterEjectsDeadReplicaFromRing(t *testing.T) {
 	}
 	// Every key now routes to the survivor.
 	for k := uint64(0); k < 50; k++ {
-		if rt.Ring().Owner(splitmix64(k)) != live.srv.URL {
+		if rt.Ring().Owner(mix.SplitMix64(k)) != live.srv.URL {
 			t.Fatal("ejected replica still owns keys")
 		}
 	}

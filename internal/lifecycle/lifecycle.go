@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"insightalign/internal/mix"
 	"insightalign/internal/obs"
 	"insightalign/internal/serve"
 )
@@ -150,10 +151,10 @@ type Config struct {
 	// Thresholds configure the verdict engine; zero fields take defaults.
 	Thresholds Thresholds
 	// CanaryWeight is the fraction of fingerprints routed to the
-	// candidate during canary, in (0, 1]. Default 0.05.
+	// candidate during canary, in (0, 1]; zero takes the default.
 	CanaryWeight float64
 	// ShadowSampleEvery mirrors every Nth validated live request during
-	// shadow (1 = every request). Default 4.
+	// shadow (1 = every request); zero takes the default.
 	ShadowSampleEvery int
 	// ShadowReplay, if non-empty, is an online-tuner journal whose
 	// online_iteration entries are replay-scored at submit time: for
@@ -176,6 +177,12 @@ type Config struct {
 	// Metrics, if non-nil, receives lifecycle gauges and counters.
 	Metrics *obs.Registry
 	Logger  *slog.Logger
+}
+
+// DefaultConfig returns the lifecycle defaults, the only place they are
+// written; Registry must still be set.
+func DefaultConfig() Config {
+	return Config{Thresholds: DefaultThresholds(), CanaryWeight: 0.05, ShadowSampleEvery: 4}
 }
 
 // latencyWindow bounds the per-arm latency ring the p95 ratio is
@@ -322,14 +329,15 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("lifecycle: Config.Registry is required")
 	}
+	def := DefaultConfig()
 	if cfg.CanaryWeight == 0 {
-		cfg.CanaryWeight = 0.05
+		cfg.CanaryWeight = def.CanaryWeight
 	}
 	if cfg.CanaryWeight < 0 || cfg.CanaryWeight > 1 || math.IsNaN(cfg.CanaryWeight) {
 		return nil, fmt.Errorf("lifecycle: CanaryWeight %v outside (0, 1]", cfg.CanaryWeight)
 	}
 	if cfg.ShadowSampleEvery <= 0 {
-		cfg.ShadowSampleEvery = 4
+		cfg.ShadowSampleEvery = def.ShadowSampleEvery
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -472,7 +480,7 @@ func (c *Controller) Route(fp uint64) *serve.Snapshot {
 	if e == nil {
 		return nil
 	}
-	if splitmix64(fp^e.salt) < e.threshold {
+	if mix.SplitMix64(fp^e.salt) < e.threshold {
 		return e.snap
 	}
 	return nil
@@ -802,13 +810,13 @@ func (c *Controller) History() []EventData {
 func saltFor(hash string) uint64 {
 	var h uint64 = 0xC0FFEE_5EED
 	for i := 0; i < len(hash); i++ {
-		h = splitmix64(h ^ uint64(hash[i]))
+		h = mix.SplitMix64(h ^ uint64(hash[i]))
 	}
 	return h
 }
 
 // weightThreshold maps a weight in [0, 1] to the uint64 comparison bound
-// Route uses: P(splitmix64(fp^salt) < threshold) == weight.
+// Route uses: P(mix.SplitMix64(fp^salt) < threshold) == weight.
 func weightThreshold(w float64) uint64 {
 	if w <= 0 {
 		return 0
@@ -817,12 +825,4 @@ func weightThreshold(w float64) uint64 {
 		return math.MaxUint64
 	}
 	return uint64(w * float64(1<<32) * float64(1<<32))
-}
-
-// splitmix64 is the finalizer used across the repo for hash splitting.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

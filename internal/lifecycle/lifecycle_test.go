@@ -4,12 +4,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"insightalign/internal/core"
 	"insightalign/internal/obs"
+	"insightalign/internal/serve"
 )
 
 // newTestController builds a controller over a fresh boosted live
@@ -373,5 +375,25 @@ func TestWeightThresholdBounds(t *testing.T) {
 	half := weightThreshold(0.5)
 	if half < math.MaxUint64/2-1<<32 || half > math.MaxUint64/2+1<<32 {
 		t.Fatalf("weight 0.5 threshold %d far from midpoint", half)
+	}
+}
+
+// TestCanarySplitKnownAnswers pins the canary salt and the sticky split to
+// the values recorded before the module's SplitMix64 copies were merged:
+// a crash-resumed canary re-derives both and must route every fingerprint
+// to the arm it had before the restart.
+func TestCanarySplitKnownAnswers(t *testing.T) {
+	salts := []uint64{saltFor(""), saltFor("abc"), saltFor("93d1c2f8deadbeef")}
+	if want := []uint64{0xc0ffee5eed, 0x7dfe148682c8bc3e, 0x411930c5c8e0af60}; !slices.Equal(salts, want) {
+		t.Fatalf("saltFor = %#x, want %#x", salts, want)
+	}
+	c := &Controller{}
+	c.route.Store(&routeEpoch{snap: &serve.Snapshot{}, salt: salts[2], threshold: weightThreshold(0.5)})
+	arms := ""
+	for fp := uint64(0); fp < 32; fp++ {
+		arms += map[bool]string{false: "0", true: "1"}[c.Route(fp) != nil]
+	}
+	if want := "11111011001001011010101111110110"; arms != want {
+		t.Fatalf("canary arms of fingerprints 0..31 = %s, want %s", arms, want)
 	}
 }

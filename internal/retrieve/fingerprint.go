@@ -11,21 +11,16 @@
 // proposals from similar designs instead of cold search.
 package retrieve
 
-import "math"
+import (
+	"math"
 
-// fingerprintSeed separates insight fingerprints from other splitmix64
-// users in the repo. It must stay stable: the fleet tier keys its
+	"insightalign/internal/mix"
+)
+
+// fingerprintSeed separates insight fingerprints from other SplitMix64
+// users in the module. It must stay stable: the fleet tier keys its
 // consistent-hash ring on these fingerprints.
 const fingerprintSeed = 0x496e7369676874 // "Insight"
-
-// splitmix64 is the SplitMix64 finalizer — the same cheap, high-quality
-// 64-bit mix internal/faultinject and internal/fleet use.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
 
 // quantization sentinels for values the 1e-6 grid cannot represent. +Inf
 // and anything whose quantized magnitude exceeds int64 share a bucket (and
@@ -74,9 +69,9 @@ func quantize(v float64) int64 {
 // still routes deterministically, and -0.0 is canonicalized to +0.0 so
 // sign-of-zero jitter cannot split one design across replicas or caches.
 func Fingerprint(iv []float64) uint64 {
-	h := splitmix64(fingerprintSeed ^ uint64(len(iv)))
+	h := mix.SplitMix64(fingerprintSeed ^ uint64(len(iv)))
 	for _, v := range iv {
-		h = splitmix64(h ^ uint64(quantize(v)))
+		h = mix.SplitMix64(h ^ uint64(quantize(v)))
 	}
 	return h
 }
@@ -85,7 +80,7 @@ func Fingerprint(iv []float64) uint64 {
 // serve-layer response cache never hands a k=3 response to a k=5 request
 // for the same design (same insight, different candidate count).
 func CacheKey(fp uint64, beamWidth int) uint64 {
-	return splitmix64(fp ^ uint64(beamWidth))
+	return mix.SplitMix64(fp ^ uint64(beamWidth))
 }
 
 // FiniteVector reports whether every component is a finite number, the

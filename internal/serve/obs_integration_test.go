@@ -122,22 +122,6 @@ func TestPerVersionMetricsAndExemplarResolution(t *testing.T) {
 	}
 }
 
-// TestExemplarToggle asserts SetExemplars(false) stops exemplar
-// emission.
-func TestExemplarToggle(t *testing.T) {
-	ts, s, _, _ := newTestServer(t, obsConfig())
-	s.Metrics().SetExemplars(false)
-	obsRecommendOnce(t, ts, s)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := readBody(t, resp)
-	if exemplarRe.MatchString(page) {
-		t.Fatalf("exemplars emitted while disabled:\n%s", grepLines(page, "# {"))
-	}
-}
-
 // TestReloadRetiresVersionObservability reloads the model and asserts
 // the outgoing version's per-version series are pruned from /metrics and
 // its SLO scope leaves /debug/slo, while the new version starts fresh.

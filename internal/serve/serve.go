@@ -82,7 +82,7 @@ type Config struct {
 	// (retrieve.ReplayJournalFile) to transfer real flow-measured QoR.
 	Store *retrieve.Store
 	// WarmSeeds caps how many retrieved recipe sets seed each decode when
-	// Store is set (default 4).
+	// Store is set.
 	WarmSeeds int
 	// Logger receives structured request logs; nil means slog.Default().
 	Logger *slog.Logger
@@ -145,7 +145,7 @@ type CandidateRouter interface {
 }
 
 // DefaultConfig returns production-leaning defaults around the paper's
-// K = 5 beam width.
+// K = 5 beam width; it is the only place they are written.
 func DefaultConfig() Config {
 	return Config{
 		Addr:             ":8080",
@@ -154,6 +154,7 @@ func DefaultConfig() Config {
 		MaxBeamWidth:     16,
 		QueueDepth:       256,
 		RequestTimeout:   10 * time.Second,
+		WarmSeeds:        4,
 	}
 }
 
@@ -170,15 +171,14 @@ type Server struct {
 	tracer *obs.Tracer
 	log    *slog.Logger
 
-	warmK int // resolved Config.WarmSeeds
-
 	httpSrv  *http.Server
 	ln       net.Listener
 	shutOnce sync.Once
 }
 
 // New builds a Server over a registry (which may be empty: requests get
-// 503 until the first model is installed or loaded).
+// 503 until the first model is installed or loaded). Unset limits take
+// their DefaultConfig values.
 func New(cfg Config, reg *Registry) (*Server, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("serve: nil registry")
@@ -186,14 +186,15 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 	// The registry's architecture is authoritative: it is what LoadFile
 	// builds, so the server must validate against the same dimensions.
 	cfg.Model = reg.Config()
+	def := DefaultConfig()
 	if cfg.DefaultBeamWidth < 1 {
-		cfg.DefaultBeamWidth = 5
+		cfg.DefaultBeamWidth = def.DefaultBeamWidth
 	}
 	if cfg.MaxBeamWidth < cfg.DefaultBeamWidth {
 		cfg.MaxBeamWidth = cfg.DefaultBeamWidth
 	}
 	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
+		cfg.RequestTimeout = def.RequestTimeout
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -202,13 +203,13 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 		cfg.Tracer = obs.DefaultTracer()
 	}
 	if cfg.WarmSeeds < 1 {
-		cfg.WarmSeeds = 4
+		cfg.WarmSeeds = def.WarmSeeds
 	}
 	if cfg.SLO == nil {
 		cfg.SLO = slo.New(slo.Config{})
 	}
 	s := &Server{cfg: cfg, reg: reg, slo: cfg.SLO, prof: cfg.Profiler,
-		tracer: cfg.Tracer, log: cfg.Logger, warmK: cfg.WarmSeeds}
+		tracer: cfg.Tracer, log: cfg.Logger}
 	s.gate = NewGate(runtime.GOMAXPROCS(0), cfg.QueueDepth)
 	s.met = NewMetrics(cfg.Metrics, func() int { return int(s.gate.Queued()) }, reg.Version)
 	if !cfg.Breaker.Disabled {
@@ -637,7 +638,7 @@ func (s *Server) decode(ctx context.Context, iv []float64, k int, cand *Snapshot
 	// BeamSearchSeeded guarantees is bit-identical to the cold search.
 	var seeds []recipe.Set
 	if store != nil {
-		seeds = store.BestSets(iv, s.warmK, 0)
+		seeds = store.BestSets(iv, s.cfg.WarmSeeds, 0)
 	}
 	cands := snap.Model.NewDecoder(iv).BeamSearchSeeded(k, seeds)
 	sp.End()

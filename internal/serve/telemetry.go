@@ -3,7 +3,6 @@ package serve
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"insightalign/internal/obs"
@@ -46,8 +45,6 @@ type Metrics struct {
 	cache        *obs.Counter   // insightalign_serve_cache_requests_total{result}
 	breakerTrans *obs.Counter   // insightalign_breaker_transitions_total{to}
 	breakerState *obs.Gauge     // insightalign_breaker_state
-
-	exemplars atomic.Bool // attach trace-ID exemplars to latency buckets
 
 	mu       sync.Mutex
 	versions []string // live model_version labels, least-recently-observed first
@@ -99,13 +96,8 @@ func NewMetrics(reg *obs.Registry, queueDepth func() int, modelVersion func() st
 			"Currently served model version (value is always 1).",
 			"version", modelVersion)
 	}
-	m.exemplars.Store(true)
 	return m
 }
-
-// SetExemplars toggles trace-ID exemplar attachment on the latency
-// histograms (on by default).
-func (m *Metrics) SetExemplars(on bool) { m.exemplars.Store(on) }
 
 // Registry returns the obs registry this bridge writes into.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
@@ -117,12 +109,8 @@ func (m *Metrics) ObserveRequest(route string, code int, d time.Duration) {
 
 // ObserveRequestEx records one completed HTTP request with optional
 // per-version attribution and an optional exemplar trace ID. version ""
-// skips the by-version family; traceID "" (or exemplars toggled off)
-// records plain observations.
+// skips the by-version family; traceID "" records plain observations.
 func (m *Metrics) ObserveRequestEx(route string, code int, d time.Duration, version, traceID string) {
-	if !m.exemplars.Load() {
-		traceID = ""
-	}
 	m.requests.Inc(route, strconv.Itoa(code))
 	m.latency.ObserveEx(d.Seconds(), traceID, route)
 	if version != "" {
