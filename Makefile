@@ -24,11 +24,13 @@ race:
 
 # Fault-tolerance gate: the deterministic fault-injection property tests,
 # the 50-iteration online chaos campaign, the serve degradation E2E, and
-# the breaker state machine — all under the race detector.
+# the fleet breaker's state machine and fault-injected E2E — all under the
+# race detector.
 chaos:
 	$(GO) test -race -timeout 10m -v \
 		-run 'Chaos|Schedule|Plan|Apply|Degrad|Breaker|Exec|RunContext' \
-		./internal/faultinject/ ./internal/flow/ ./internal/online/ ./internal/serve/
+		./internal/faultinject/ ./internal/flow/ ./internal/online/ ./internal/serve/ \
+		./internal/fleet/
 
 # Coverage-guided corruption of the parameter loader (longer than CI's
 # 10s smoke; crashes land in internal/nn/testdata/fuzz/).
@@ -36,7 +38,7 @@ FUZZTIME ?= 60s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadParams' -fuzztime $(FUZZTIME) ./internal/nn/
 
-# Coverage-guided corruption of the ChipAlign merge inputs: whatever the
+# Coverage-guided corruption of the linear weight merge's inputs: whatever the
 # fuzzer feeds it, Merge must never panic, never emit a non-finite
 # parameter, and reject malformed checkpoints cleanly (longer than CI's
 # 30s smoke; crashes land in internal/lifecycle/testdata/fuzz/).

@@ -1,7 +1,7 @@
 // Command insightalign-ctl is the operator CLI for the checkpoint
 // lifecycle: it drives a serving process's /debug/lifecycle endpoint
 // (submit a candidate, inspect shadow/canary progress, force a promote
-// or rollback) and performs ChipAlign-style weight merges of per-design
+// or rollback) and performs linear weight merges of per-design
 // tuned checkpoints back into a base model, optionally with a zero-shot
 // Table-IV-style before/after evaluation.
 //

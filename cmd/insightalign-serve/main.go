@@ -27,9 +27,11 @@
 // the similarity outcome store (beam warm-starting); -retrieve-journal
 // pre-populates the store by replaying an online-tuner run journal.
 // -candidate-dir gates new checkpoints through shadow → canary → promote
-// instead (DESIGN.md §16). Admission, deadline and breaker limits run at
+// instead (DESIGN.md §16). Admission and deadline limits run at
 // serve.DefaultConfig, and canary thresholds not named by a flag at
-// lifecycle.DefaultThresholds.
+// lifecycle.DefaultThresholds. A replica has no circuit breaker: a failing
+// decode answers 502 or 504 per request, and the fleet router's
+// per-replica breaker takes a failing replica out of rotation.
 // loadgen cycles 64 seeded insights through /v1/recommend and prints the
 // request, failure and per-status counts as one JSON line; it measures
 // no latency (perfbench does).

@@ -53,7 +53,7 @@ func (r *ZeroShotResult) MeanBestQoR() float64 {
 // beam-search top-K recommendation per design, flow evaluation of every
 // recommendation, Win% against the design's known archive points. This
 // is the before/after harness behind `insightalign-ctl merge -eval` — a
-// ChipAlign-style merged generalist is judged on exactly the designs the
+// linearly merged generalist is judged on exactly the designs the
 // specialists were tuned for, plus the ones they were not.
 func (e *Env) EvalModelZeroShot(model *core.Model, designs []string) (*ZeroShotResult, error) {
 	if model == nil {

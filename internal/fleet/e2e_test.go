@@ -79,6 +79,45 @@ func sampleCrossHopTrace(tr *obs.Tracer) (string, []string) {
 	return "", nil
 }
 
+// assertQuiescent fails the test unless the fleet is at rest: every
+// router-side replica gate has no forward in flight or waiting, the
+// insightalign_fleet_hedges_inflight gauge reads 0, and each replica of
+// lf (nil for stub replicas) has an idle gate and scrapes
+// insightalign_queue_depth 0. Losing hedge legs and cancelled forwards
+// release asynchronously, so it polls for up to five seconds before
+// reporting what is still held.
+func assertQuiescent(t *testing.T, rt *Router, lf *LocalFleet) {
+	t.Helper()
+	var held []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		held = held[:0]
+		for _, id := range rt.ids {
+			if g := rt.Replica(id).gate; g.Inflight() != 0 || g.Queued() != 0 {
+				held = append(held, fmt.Sprintf("router gate for %s: inflight %d queued %d", id, g.Inflight(), g.Queued()))
+			}
+		}
+		if v := rt.met.hedgeGate.Value(); v != 0 {
+			held = append(held, fmt.Sprintf("insightalign_fleet_hedges_inflight %g", v))
+		}
+		if lf != nil {
+			for i, rep := range lf.Replicas {
+				if g := rep.srv.Gate(); g.Inflight() != 0 || g.Queued() != 0 {
+					held = append(held, fmt.Sprintf("replica %d gate: inflight %d queued %d", i, g.Inflight(), g.Queued()))
+				}
+				if exp := rep.srv.Metrics().Exposition(); !strings.Contains(exp, "insightalign_queue_depth 0\n") {
+					held = append(held, fmt.Sprintf("replica %d insightalign_queue_depth not 0", i))
+				}
+			}
+		}
+		if len(held) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, h := range held {
+		t.Errorf("not at rest: %s", h)
+	}
+}
+
 func TestFleetKillRecoveryE2E(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	tracer := obs.NewTracer(512)
@@ -210,19 +249,7 @@ func TestFleetKillRecoveryE2E(t *testing.T) {
 		t.Fatalf("router Shutdown: %v", err)
 	}
 	lf.Close()
-	for _, id := range cfg.Replicas {
-		if g := rt.Replica(id).gate; g.Inflight() != 0 || g.Queued() != 0 {
-			t.Errorf("router gate for %s: inflight %d queued %d, want 0", id, g.Inflight(), g.Queued())
-		}
-	}
-	for i, rep := range lf.Replicas {
-		if g := rep.srv.Gate(); g.Inflight() != 0 || g.Queued() != 0 {
-			t.Errorf("replica %d gate: inflight %d queued %d, want 0", i, g.Inflight(), g.Queued())
-		}
-		if exp := rep.srv.Metrics().Exposition(); !strings.Contains(exp, "insightalign_queue_depth 0\n") {
-			t.Errorf("replica %d insightalign_queue_depth not 0 at rest", i)
-		}
-	}
+	assertQuiescent(t, rt, lf)
 	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(10 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 		time.Sleep(10 * time.Millisecond)
@@ -233,9 +260,8 @@ func TestFleetKillRecoveryE2E(t *testing.T) {
 }
 
 func TestFleetFaultInjectedBreakerNoLeak(t *testing.T) {
-	// Replica 0's backend deterministically 502s (its own breaker
-	// disabled, so every fault surfaces): the poller keeps calling it
-	// healthy — /healthz answers fine — and only the ROUTER's
+	// Replica 0's backend deterministically 502s: the poller keeps
+	// calling it healthy — /healthz answers fine — and only the router's
 	// outcome-driven breaker can take it out of rotation. Faults clear
 	// after run faultsUntil, so the breaker's half-open probes eventually
 	// succeed and close it again.
@@ -249,7 +275,6 @@ func TestFleetFaultInjectedBreakerNoLeak(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	lf, err := StartLocalFleet(2, LocalOptions{
 		Seed: 7, Tracer: tracer, Logger: testLogger(),
-		DisableReplicaBreaker: true,
 		Hook: func(i int) func(context.Context) error {
 			if i == 0 {
 				return inj.HookFunc("backend")
@@ -296,13 +321,13 @@ func TestFleetFaultInjectedBreakerNoLeak(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("request %d got %d: %s", i, code, raw)
 		}
-		if rt.Replica(faulty).BreakerState() != serve.BreakerClosed {
+		if rt.Replica(faulty).BreakerState() != BreakerClosed {
 			opened = true
 		}
 		// Healed: the faulty replica serves a 200 again after the fault
 		// window passed and its breaker reclosed.
 		if opened && hdr.Get("X-Fleet-Replica") == faulty &&
-			rt.Replica(faulty).BreakerState() == serve.BreakerClosed {
+			rt.Replica(faulty).BreakerState() == BreakerClosed {
 			healedBy = i
 			break
 		}
@@ -326,4 +351,5 @@ func TestFleetFaultInjectedBreakerNoLeak(t *testing.T) {
 			t.Errorf("metric %q missing from exposition", want)
 		}
 	}
+	assertQuiescent(t, rt, lf)
 }

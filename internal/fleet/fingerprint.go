@@ -5,7 +5,7 @@
 // design land on the same replica (cache/retrieval affinity — the
 // substrate the CROP-style retrieval cache needs). Around that core the
 // router keeps per-replica health from /healthz polling plus observed
-// outcomes feeding a per-replica circuit breaker (serve.Breaker), hedges
+// outcomes feeding a per-replica circuit breaker (Breaker), hedges
 // slow requests against a second replica after a latency-percentile
 // trigger, bounds per-replica admission with queues that shed 503 +
 // Retry-After when the whole fleet is saturated, and propagates

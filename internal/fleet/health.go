@@ -17,7 +17,7 @@ import (
 //     survivors — the affinity move the ring-rebuild metric counts). One
 //     successful poll re-adds it.
 //
-//   - observed forward outcomes feed the per-replica serve.Breaker,
+//   - observed forward outcomes feed the per-replica Breaker,
 //     catching the live-but-failing replica the poller calls healthy: a
 //     wedged decoder answers /healthz fine while 502ing every request.
 //

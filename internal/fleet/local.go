@@ -47,10 +47,6 @@ type LocalOptions struct {
 	// Hook returns replica i's BackendHook (the fault-injection seam);
 	// nil means no hooks.
 	Hook func(i int) func(context.Context) error
-	// DisableReplicaBreaker turns off the replicas' own backend breakers,
-	// so injected backend faults surface as 502s for the ROUTER's
-	// per-replica breaker to classify (the kill/recovery E2E mode).
-	DisableReplicaBreaker bool
 	// Logger for the replicas; nil discards via slog.Default.
 	Logger *slog.Logger
 }
@@ -92,9 +88,6 @@ func (lf *LocalFleet) boot(i int, rep *LocalReplica) error {
 	}
 	if lf.opts.Hook != nil {
 		cfg.BackendHook = lf.opts.Hook(i)
-	}
-	if lf.opts.DisableReplicaBreaker {
-		cfg.Breaker.Disabled = true
 	}
 	if rep.reg == nil {
 		reg, err := serve.NewRegistry(cfg.Model)

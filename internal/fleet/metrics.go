@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"insightalign/internal/obs"
-	"insightalign/internal/serve"
 )
 
 // Histogram bounds: end-to-end routed latency in seconds.
@@ -112,7 +111,7 @@ func (m *Metrics) SetReplicaUp(replica string, up bool) {
 }
 
 // ObserveBreakerTransition records a per-replica breaker move.
-func (m *Metrics) ObserveBreakerTransition(replica string, from, to serve.BreakerState) {
+func (m *Metrics) ObserveBreakerTransition(replica string, from, to BreakerState) {
 	m.brkTrans.Inc(replica, to.String())
 	m.brkState.Set(float64(to), replica)
 }

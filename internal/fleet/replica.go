@@ -9,14 +9,14 @@ import (
 
 // Replica is the router's view of one backend: its base URL, a bounded
 // serve.Gate (MaxInflight concurrent forwards plus QueueDepth waiters),
-// liveness from /healthz polling, and a serve.Breaker fed by
-// observed forward outcomes. Health and breaker answer different
-// questions — "is the process up" vs "is it currently failing requests" —
-// and the router consults both before sending.
+// liveness from /healthz polling, and a Breaker fed by observed forward
+// outcomes. Health and breaker answer different questions — "is the
+// process up" vs "is it currently failing requests" — and the router
+// consults both before sending.
 type Replica struct {
 	id string // base URL, e.g. "http://127.0.0.1:8081"
 
-	brk *serve.Breaker
+	brk *Breaker
 
 	// gate admits forwards; a full one is the router's 503 + Retry-After.
 	gate *serve.Gate
@@ -25,10 +25,10 @@ type Replica struct {
 	failPolls atomic.Int64 // consecutive failed health polls
 }
 
-func newReplica(id string, maxInflight, queueDepth int, brkCfg serve.BreakerConfig, onTransition func(from, to serve.BreakerState)) *Replica {
+func newReplica(id string, maxInflight, queueDepth int, brkCfg BreakerConfig, onTransition func(from, to BreakerState)) *Replica {
 	r := &Replica{id: id, gate: serve.NewGate(maxInflight, queueDepth)}
 	if !brkCfg.Disabled {
-		r.brk = serve.NewBreaker(brkCfg, onTransition)
+		r.brk = NewBreaker(brkCfg, onTransition)
 	}
 	// Optimistic start: the first health poll corrects a dead replica
 	// within one interval, and a cold fleet must not shed its first
@@ -48,24 +48,24 @@ func (r *Replica) Inflight() int64 { return r.gate.Inflight() }
 
 // BreakerState reports the replica breaker's position (closed when the
 // breaker is disabled).
-func (r *Replica) BreakerState() serve.BreakerState {
+func (r *Replica) BreakerState() BreakerState {
 	if r.brk == nil {
-		return serve.BreakerClosed
+		return BreakerClosed
 	}
 	return r.brk.State()
 }
 
 // allow asks the replica's breaker for an admission (always granted when
 // the breaker is disabled).
-func (r *Replica) allow() (serve.Admission, bool, time.Duration) {
+func (r *Replica) allow() (Admission, bool, time.Duration) {
 	if r.brk == nil {
-		return serve.Admission{}, true, 0
+		return Admission{}, true, 0
 	}
 	return r.brk.Allow()
 }
 
 // record resolves a breaker admission with a health outcome.
-func (r *Replica) record(adm serve.Admission, ok bool) {
+func (r *Replica) record(adm Admission, ok bool) {
 	if r.brk != nil {
 		r.brk.Record(adm, ok)
 	}
@@ -73,7 +73,7 @@ func (r *Replica) record(adm serve.Admission, ok bool) {
 
 // releaseAdmission resolves a breaker admission without a health signal
 // (429s, hedge-loss cancels, slot-wait expiries).
-func (r *Replica) releaseAdmission(adm serve.Admission) {
+func (r *Replica) releaseAdmission(adm Admission) {
 	if r.brk != nil {
 		r.brk.Release(adm)
 	}

@@ -18,7 +18,6 @@ import (
 	"insightalign/internal/obs"
 	"insightalign/internal/obs/slo"
 	"insightalign/internal/retrieve"
-	"insightalign/internal/serve"
 )
 
 // Config parameterizes a Router. Start from DefaultConfig.
@@ -52,10 +51,10 @@ type Config struct {
 	// replica from the ring (rebalancing its keys to the survivors);
 	// one successful poll re-adds it.
 	EjectAfter int
-	// Breaker configures the per-replica router-side circuit breaker
-	// (reusing serve.Breaker); observed forward failures open it and the
+	// Breaker configures the per-replica circuit breaker, the only one
+	// on a request's path: observed forward failures open it and the
 	// replica is skipped until its probes succeed.
-	Breaker serve.BreakerConfig
+	Breaker BreakerConfig
 	// Logger receives structured router logs; nil means slog.Default().
 	Logger *slog.Logger
 	// Metrics is the registry the fleet metric families bind into; nil
@@ -115,7 +114,7 @@ func DefaultConfig() Config {
 		MaxAttempts:    3,
 		HealthInterval: 500 * time.Millisecond,
 		EjectAfter:     3,
-		Breaker: serve.BreakerConfig{
+		Breaker: BreakerConfig{
 			Window:         16,
 			MinSamples:     4,
 			FailureRatio:   0.5,
@@ -182,6 +181,24 @@ func New(cfg Config) (*Router, error) {
 	if cfg.EjectAfter < 1 {
 		cfg.EjectAfter = def.EjectAfter
 	}
+	if b := &cfg.Breaker; !b.Disabled {
+		if b.Window < 1 {
+			b.Window = def.Breaker.Window
+		}
+		if b.MinSamples < 1 {
+			b.MinSamples = def.Breaker.MinSamples
+		}
+		b.MinSamples = min(b.MinSamples, b.Window)
+		if b.FailureRatio <= 0 || b.FailureRatio > 1 {
+			b.FailureRatio = def.Breaker.FailureRatio
+		}
+		if b.Cooldown <= 0 {
+			b.Cooldown = def.Breaker.Cooldown
+		}
+		if b.HalfOpenProbes < 1 {
+			b.HalfOpenProbes = def.Breaker.HalfOpenProbes
+		}
+	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -213,7 +230,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("fleet: duplicate replica %q", id)
 		}
 		rt.reps[id] = newReplica(id, cfg.MaxInflight, cfg.QueueDepth, cfg.Breaker,
-			func(from, to serve.BreakerState) {
+			func(from, to BreakerState) {
 				rt.met.ObserveBreakerTransition(id, from, to)
 				rt.log.Warn("replica breaker transition", "replica", id, "from", from.String(), "to", to.String())
 			})
@@ -448,7 +465,7 @@ func (e errShed) Error() string { return "fleet: shed: " + e.reason }
 // picked is an acquired (slot, breaker-admission) pair for one replica.
 type picked struct {
 	rep *Replica
-	adm serve.Admission
+	adm Admission
 }
 
 // pick selects the next replica in ring order that is healthy, not

@@ -19,7 +19,6 @@ import (
 
 	"insightalign/internal/mix"
 	"insightalign/internal/obs"
-	"insightalign/internal/serve"
 )
 
 // stubReplica is an httptest backend that answers /healthz 200 and lets
@@ -159,7 +158,7 @@ func TestRouterFailoverHidesBackendErrors(t *testing.T) {
 		}
 	}
 	// Sustained 502s must have opened the bad replica's breaker.
-	if st := rt.Replica(bad.srv.URL).BreakerState(); st == serve.BreakerClosed {
+	if st := rt.Replica(bad.srv.URL).BreakerState(); st == BreakerClosed {
 		t.Fatalf("bad replica breaker still closed after sustained 502s")
 	}
 	// With the breaker open the bad replica stops receiving traffic.
@@ -300,6 +299,7 @@ func TestRouterHedgeWinsOverSlowPrimary(t *testing.T) {
 			if expo := rt.Metrics().Registry().Exposition(); !strings.Contains(expo, want) {
 				t.Fatalf("want %q in the exposition:\n%s", want, expo)
 			}
+			assertQuiescent(t, rt, nil)
 		})
 	}
 }
@@ -489,4 +489,5 @@ func TestRouterShutdownStopsHealthLoop(t *testing.T) {
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", rt.Addr())); err == nil {
 		t.Fatal("listener still accepting after Shutdown")
 	}
+	assertQuiescent(t, rt, nil)
 }

@@ -28,7 +28,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,17 +233,12 @@ func (a *armStats) meanLP() float64 {
 	return a.sumLP / float64(a.lpCount)
 }
 
+// p95 is the nearest-rank 95th percentile of the latency window, 0 when
+// it is empty.
 func (a *armStats) p95() time.Duration {
-	if len(a.latRing) == 0 {
-		return 0
-	}
-	tmp := append([]time.Duration(nil), a.latRing...)
-	sort.Slice(tmp, func(i, k int) bool { return tmp[i] < tmp[k] })
-	idx := (len(tmp) * 95) / 100
-	if idx >= len(tmp) {
-		idx = len(tmp) - 1
-	}
-	return tmp[idx]
+	tmp := slices.Clone(a.latRing)
+	slices.Sort(tmp)
+	return obs.QuantileDur(tmp, 0.95)
 }
 
 // shadowStats accumulates candidate-vs-live comparisons off the response

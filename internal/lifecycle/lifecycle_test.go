@@ -397,3 +397,27 @@ func TestCanarySplitKnownAnswers(t *testing.T) {
 		t.Fatalf("canary arms of fingerprints 0..31 = %s, want %s", arms, want)
 	}
 }
+
+// TestArmStatsP95NearestRank pins the canary latency gate's percentile to
+// obs.QuantileDur's nearest rank. At n = 20 that is the 19th fastest
+// sample (index 18); the floor(0.95*n) index it replaced read the slowest.
+func TestArmStatsP95NearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want time.Duration // samples are 1..n ms, so index i reads i+1 ms
+	}{
+		{0, 0},
+		{1, 1 * time.Millisecond},
+		{10, 10 * time.Millisecond},
+		{20, 19 * time.Millisecond},
+		{100, 95 * time.Millisecond},
+	} {
+		var a armStats
+		for i := tc.n; i >= 1; i-- { // descending: p95 must sort its copy
+			a.observe(200, time.Duration(i)*time.Millisecond, math.NaN())
+		}
+		if got := a.p95(); got != tc.want {
+			t.Errorf("n=%d: p95 = %v, want %v", tc.n, got, tc.want)
+		}
+	}
+}

@@ -26,11 +26,13 @@ type MergeReport struct {
 }
 
 // Merge interpolates per-design tuned checkpoints back into a base model
-// (ChipAlign-style): for every parameter tensor,
+// linearly: for every parameter tensor,
 //
 //	out = (1−α)·base + α·mean(tuned...)
 //
-// α = 0 returns the base weights, α = 1 the tuned average. All models
+// α = 0 returns the base weights, α = 1 the tuned average. This is plain
+// linear interpolation, not ChipAlign's geodesic interpolation (PAPERS.md),
+// which moves along the great circle between normalized weights. All models
 // must share the base's architecture — every parameter tensor is
 // shape-checked, and any non-finite input weight or α outside [0, 1]
 // rejects the merge before anything is written. The returned model is

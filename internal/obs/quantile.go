@@ -3,8 +3,8 @@ package obs
 import "time"
 
 // Quantile helpers shared by every percentile consumer in the stack: the
-// fleet router's p95 hedging trigger and perfbench's latency and
-// per-layer reports. All of them want the same thing —
+// fleet router's p95 hedging trigger, the lifecycle canary's p95 latency
+// gate, and perfbench's latency and per-layer reports. All of them want the same thing —
 // the nearest-rank quantile of an already-sorted sample — and each had
 // grown a private copy with the same off-by-one hazards at tiny sample
 // sizes, so the arithmetic lives here exactly once.

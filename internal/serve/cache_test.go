@@ -89,12 +89,13 @@ func TestServeCacheHitPath(t *testing.T) {
 
 	// Non-finite vectors bypass the cache (sentinel aliasing). JSON can't
 	// carry ±Inf so this is exercised through the in-process entry point.
+	// The decode scores such a vector NaN, which answers 400.
 	bad := append([]float64{}, iv...)
 	bad[0] = math.Inf(1)
 	for i := 0; i < 2; i++ {
-		r, code, err := s.recommend(context.Background(), &RecommendRequest{Insight: bad, BeamWidth: 5})
-		if err != nil || code != http.StatusOK {
-			t.Fatalf("non-finite insight decode failed: code=%d err=%v", code, err)
+		r, code := s.recommend(context.Background(), &RecommendRequest{Insight: bad, BeamWidth: 5})
+		if code != http.StatusBadRequest {
+			t.Fatalf("non-finite insight: code=%d err=%q, want 400", code, r.Error)
 		}
 		if r.Cached {
 			t.Fatalf("non-finite insight request %d must bypass the cache", i)
@@ -178,9 +179,7 @@ func TestServeCacheReloadNoStale(t *testing.T) {
 }
 
 // TestServeBatchEndpointUsesCache: elements of /v1/recommend/batch share
-// the same cache, and an all-cached batch releases (rather than records)
-// its breaker admission — exercised here simply by asserting the cached
-// flags; breaker accounting balance is covered by the breaker tests.
+// the same cache.
 func TestServeBatchEndpointUsesCache(t *testing.T) {
 	cfg := cacheConfig()
 	ts, _, _, _ := newTestServer(t, cfg)

@@ -115,44 +115,3 @@ func TestCanaryBypassesResponseCache(t *testing.T) {
 		t.Fatalf("live decode observations moved to %d during canary", got)
 	}
 }
-
-// TestCanaryResponsesSkipAdmissionOutcome: candidate-routed outcomes are
-// the lifecycle verdict engine's signal, not the live breaker's — a
-// storm of candidate failures must not trip the live circuit breaker.
-func TestCanaryResponsesSkipBreaker(t *testing.T) {
-	stub := &stubRouter{}
-	cfg := e2eConfig()
-	cfg.Canary = stub
-	cfg.Breaker = BreakerConfig{Window: 16, MinSamples: 4, FailureRatio: 0.5, Cooldown: time.Minute}
-	ts, s, _, _ := newTestServer(t, cfg)
-
-	dir := t.TempDir()
-	candPath := filepath.Join(dir, "cand.bin")
-	saveModelFile(t, candPath, 8, cfg.Model)
-	cand, err := s.Registry().LoadCandidate(candPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub.snap.Store(cand)
-
-	rng := rand.New(rand.NewSource(43))
-	send := func() int {
-		iv := make([]float64, cfg.Model.InsightDim)
-		for i := range iv {
-			iv[i] = rng.NormFloat64()
-		}
-		resp, _ := postJSON(t, ts.URL+"/v1/recommend", map[string]any{"insight": iv, "beam_width": 3})
-		return resp.StatusCode
-	}
-	// 20 candidate-routed requests (healthy here, but the point is they
-	// resolve the admission neutrally), then live traffic must still flow.
-	for i := 0; i < 20; i++ {
-		if code := send(); code != http.StatusOK {
-			t.Fatalf("candidate request %d: %d", i, code)
-		}
-	}
-	stub.snap.Store(nil)
-	if code := send(); code != http.StatusOK {
-		t.Fatalf("live request after canary burst: %d", code)
-	}
-}

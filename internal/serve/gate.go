@@ -20,7 +20,7 @@ var (
 	// yet (HTTP 503).
 	ErrNoModel = errors.New("serve: no model loaded")
 	// ErrBackend marks a failed backend (decoder) invocation — the hook
-	// seam errored (HTTP 502). These failures feed the circuit breaker.
+	// seam errored (HTTP 502).
 	ErrBackend = errors.New("serve: backend failure")
 )
 
@@ -113,8 +113,7 @@ func (g *Gate) Queued() int64 { return g.queued.Load() }
 
 // runBackendHook executes the backend fault seam (nil hook: healthy).
 // Context errors pass through unchanged (they map to 504/499); anything
-// else is normalized to ErrBackend so the handlers and the circuit breaker
-// classify it as backend ill-health.
+// else is normalized to ErrBackend, which the handlers answer with 502.
 func runBackendHook(ctx context.Context, hook func(context.Context) error) error {
 	if hook == nil {
 		return nil

@@ -72,10 +72,6 @@ func TestSLOBrownoutE2E(t *testing.T) {
 		}
 		return hook(ctx)
 	}
-	// The breaker would mask the brownout with 503 sheds before the SLO
-	// pages; this test wants the raw 502 burn.
-	cfg.Breaker.Disabled = true
-
 	ts, s, _, _ := newTestServer(t, cfg)
 
 	// Phase 1: healthy traffic settles the objective at ok.

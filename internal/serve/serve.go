@@ -57,10 +57,6 @@ type Config struct {
 	QueueDepth int
 	// RequestTimeout is the per-request deadline (queue wait + decode).
 	RequestTimeout time.Duration
-	// Breaker configures the backend circuit breaker: when the recent
-	// backend failure ratio trips it, requests are shed with 503 +
-	// Retry-After instead of queueing behind a dying backend.
-	Breaker BreakerConfig
 	// BackendHook, if non-nil, runs before every decode, inside its
 	// admission slot — the fault-injection seam the degradation tests use
 	// to simulate hung or failing backends (faultinject.Injector.HookFunc
@@ -165,7 +161,6 @@ type Server struct {
 	reg    *Registry
 	gate   *Gate
 	met    *Metrics
-	brk    *Breaker // nil when cfg.Breaker.Disabled
 	slo    *slo.Engine
 	prof   *obs.Profiler // nil when continuous profiling is off
 	tracer *obs.Tracer
@@ -212,12 +207,6 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 		tracer: cfg.Tracer, log: cfg.Logger}
 	s.gate = NewGate(runtime.GOMAXPROCS(0), cfg.QueueDepth)
 	s.met = NewMetrics(cfg.Metrics, func() int { return int(s.gate.Queued()) }, reg.Version)
-	if !cfg.Breaker.Disabled {
-		s.brk = NewBreaker(cfg.Breaker, func(from, to BreakerState) {
-			s.met.ObserveBreakerTransition(from, to)
-			s.log.Warn("circuit breaker transition", "from", from.String(), "to", to.String())
-		})
-	}
 	s.httpSrv = &http.Server{Addr: cfg.Addr, Handler: s.Handler()}
 	return s, nil
 }
@@ -360,12 +349,6 @@ type RecommendResponse struct {
 	// Error is set per-item in batch responses instead of failing the
 	// whole batch.
 	Error string `json:"error,omitempty"`
-
-	// canary marks a candidate-routed response (canary arm of the
-	// checkpoint lifecycle). Candidate outcomes are the lifecycle verdict
-	// engine's signal, not the live breaker's: the handlers release the
-	// admission instead of recording it.
-	canary bool
 }
 
 // BatchRequest is the body of POST /v1/recommend/batch.
@@ -397,9 +380,6 @@ type HealthResponse struct {
 	ModelVersion  string  `json:"model_version,omitempty"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	QueueDepth    int     `json:"queue_depth"`
-	// Breaker is the circuit breaker state ("closed" / "open" /
-	// "half_open"); omitted when the breaker is disabled.
-	Breaker string `json:"breaker,omitempty"`
 	// SLO is the worst current burn-rate verdict ("ok" / "warn" /
 	// "page"); anything past ok flips Status to "degraded" while the
 	// response stays HTTP 200 (a burning SLO is not a liveness failure).
@@ -417,32 +397,18 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	adm, shed := s.maybeShed(w, r)
-	if shed {
-		return
-	}
 	var req RecommendRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		s.releaseAdmission(adm)
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	if msg := s.validate(&req); msg != "" {
-		s.releaseAdmission(adm)
 		s.writeError(w, r, http.StatusBadRequest, msg)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	resp, code, err := s.recommend(ctx, &req)
-	if resp.Cached || resp.canary {
-		// A cache hit never touched the backend, and a candidate-routed
-		// outcome is the lifecycle verdict engine's signal, not the live
-		// breaker's: both resolve the admission neutrally.
-		s.releaseAdmission(adm)
-	} else {
-		s.recordOutcome(adm, err)
-	}
+	resp, code := s.recommend(ctx, &req)
 	// The served version rides a response header so the instrumentation
 	// middleware attributes the request to the model that actually decoded
 	// it — during a canary that is the candidate version, not the live one.
@@ -461,24 +427,17 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	adm, shed := s.maybeShed(w, r)
-	if shed {
-		return
-	}
 	var req BatchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		s.releaseAdmission(adm)
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Requests) == 0 {
-		s.releaseAdmission(adm)
 		s.writeError(w, r, http.StatusBadRequest, "empty batch")
 		return
 	}
 	for i := range req.Requests {
 		if msg := s.validate(&req.Requests[i]); msg != "" {
-			s.releaseAdmission(adm)
 			s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf("request %d: %s", i, msg))
 			return
 		}
@@ -488,38 +447,30 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// Every element takes its own admission slot, so QueueDepth bounds a
 	// client batch the same way it bounds concurrent singles.
 	results := make([]RecommendResponse, len(req.Requests))
-	errs := make([]error, len(req.Requests))
 	var wg sync.WaitGroup
 	for i := range req.Requests {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, code, err := s.recommend(ctx, &req.Requests[i])
+			resp, code := s.recommend(ctx, &req.Requests[i])
 			if code != http.StatusOK && resp.Error == "" {
 				resp.Error = http.StatusText(code)
 			}
 			results[i] = resp
-			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
-	s.recordBatchOutcome(adm, errs, results)
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
 // recommend runs one validated request through the admission gate and
-// shapes the response. Returns the HTTP status and the raw terminal error
-// for breaker outcome classification.
+// shapes the response. Returns the HTTP status.
 //
 // With a Cache configured the decoder is skipped entirely when the
 // (fingerprint, beam width) pair is already cached under the live model
 // version; non-finite insight vectors bypass the cache because their
-// fingerprint sentinels alias distinct inputs. A hit must be resolved by
-// the caller as a *neutral* breaker outcome (Release, not Record): a
-// hot-key workload serving mostly from cache says nothing about backend
-// health, and counting hits as successes would hold the breaker closed
-// over a dying decoder.
-func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (RecommendResponse, int, error) {
+// fingerprint sentinels alias distinct inputs.
+func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (RecommendResponse, int) {
 	k := req.BeamWidth
 	if k <= 0 {
 		k = s.cfg.DefaultBeamWidth
@@ -551,7 +502,7 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 				resp := v.(RecommendResponse)
 				resp.TraceID = obs.TraceIDFrom(ctx)
 				resp.Cached = true
-				return resp, http.StatusOK, nil
+				return resp, http.StatusOK
 			}
 			s.met.ObserveCache("miss")
 		} else {
@@ -567,7 +518,7 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 		lc.ObserveLive(outcome(err, cands), time.Since(startAt), topLogProb(cands))
 	}
 	if err != nil {
-		return RecommendResponse{Error: err.Error()}, errStatus(err), err
+		return RecommendResponse{Error: err.Error()}, errStatus(err)
 	}
 	resp := newResponse(ctx, version, k, cands)
 	if cacheable {
@@ -579,7 +530,7 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 		cached.BatchSize = 0
 		s.cfg.Cache.Put(key, version, cached)
 	}
-	return resp, http.StatusOK, nil
+	return resp, http.StatusOK
 }
 
 // recommendCandidate serves one canary-assigned request on the candidate
@@ -588,17 +539,21 @@ func (s *Server) recommend(ctx context.Context, req *RecommendRequest) (Recommen
 // outcome feeds the canary verdict engine; the response is stamped with
 // the candidate version so the per-version measurement plane (latency
 // histograms, SLO scopes) attributes it correctly.
-func (s *Server) recommendCandidate(ctx context.Context, req *RecommendRequest, cand *Snapshot, k int) (RecommendResponse, int, error) {
+func (s *Server) recommendCandidate(ctx context.Context, req *RecommendRequest, cand *Snapshot, k int) (RecommendResponse, int) {
 	startAt := time.Now()
 	cands, _, err := s.decode(ctx, req.Insight, k, cand)
 	s.cfg.Canary.ObserveCandidate(outcome(err, cands), time.Since(startAt), topLogProb(cands))
 	if err != nil {
-		return RecommendResponse{Error: err.Error(), ModelVersion: cand.Version, canary: true}, errStatus(err), err
+		return RecommendResponse{Error: err.Error(), ModelVersion: cand.Version}, errStatus(err)
 	}
-	resp := newResponse(ctx, cand.Version, k, cands)
-	resp.canary = true
-	return resp, http.StatusOK, nil
+	return newResponse(ctx, cand.Version, k, cands), http.StatusOK
 }
+
+// errNonFinite rejects an insight whose decode scored a candidate NaN or
+// ±Inf (HTTP 400). JSON carries only finite numbers, but huge ones such as
+// 1e308 overflow the model; without this check the response's log-probs
+// could not be encoded and the client would get a 200 with an empty body.
+var errNonFinite = errors.New("serve: insight vector out of range: decode scores are not finite")
 
 // decode runs one beam search in the calling goroutine. It waits for an
 // admission slot inside the admission_queue span, runs the backend fault
@@ -643,6 +598,11 @@ func (s *Server) decode(ctx context.Context, iv []float64, k int, cand *Snapshot
 	cands := snap.Model.NewDecoder(iv).BeamSearchSeeded(k, seeds)
 	sp.End()
 	s.met.ObserveBatch(1)
+	for _, c := range cands {
+		if math.IsNaN(c.LogProb) || math.IsInf(c.LogProb, 0) {
+			return nil, "", errNonFinite
+		}
+	}
 	if len(cands) > 0 {
 		// The top log-prob is the serving-side QoR proxy, attributed to the
 		// model version that produced it.
@@ -710,91 +670,6 @@ func toCandidateJSON(c core.Candidate) CandidateJSON {
 		Count:   c.Set.Count(),
 		LogProb: c.LogProb,
 	}
-}
-
-// maybeShed rejects the request with 503 + Retry-After while the circuit
-// breaker is open (or its half-open probe quota is in flight). When the
-// request may proceed it returns the breaker admission, which the
-// handler must resolve exactly once via recordOutcome, recordBatchOutcome,
-// or releaseAdmission; true means the request was shed.
-func (s *Server) maybeShed(w http.ResponseWriter, r *http.Request) (Admission, bool) {
-	if s.brk == nil {
-		return Admission{}, false
-	}
-	adm, ok, wait := s.brk.Allow()
-	if ok {
-		return adm, false
-	}
-	s.met.ObserveShed()
-	// Round the hint up so "0.8s left" does not tell clients to hammer
-	// immediately.
-	w.Header().Set("Retry-After", strconv.Itoa(int(wait/time.Second)+1))
-	s.writeError(w, r, http.StatusServiceUnavailable, "circuit breaker open: backend unhealthy")
-	return Admission{}, true
-}
-
-// releaseAdmission frees an admission that will never produce a backend
-// outcome (the request died before reaching the admission gate), so
-// half-open probe slots are not leaked by malformed requests.
-func (s *Server) releaseAdmission(adm Admission) {
-	if s.brk != nil {
-		s.brk.Release(adm)
-	}
-}
-
-// recordOutcome resolves one request's admission with its terminal
-// result. Only signals about backend health count: successes close,
-// backend failures and deadline expiries open. Queue-full, shutdown,
-// missing model, and client cancels say nothing about the backend, so
-// they release the admission instead of recording an outcome.
-func (s *Server) recordOutcome(adm Admission, err error) {
-	if s.brk == nil {
-		return
-	}
-	switch {
-	case err == nil:
-		s.brk.Record(adm, true)
-	case errors.Is(err, ErrBackend), errors.Is(err, context.DeadlineExceeded):
-		s.brk.Record(adm, false)
-	default:
-		s.brk.Release(adm)
-	}
-}
-
-// recordBatchOutcome resolves a batch request's single admission from
-// its elements' outcomes: any backend failure marks the admission
-// failed, otherwise any non-cached success marks it succeeded, otherwise
-// every element was neutral (including cache hits, which never reached
-// the backend) and the admission is released. One Allow always pairs
-// with exactly one Record or Release, so half-open probe accounting
-// stays balanced for batches too.
-func (s *Server) recordBatchOutcome(adm Admission, errs []error, results []RecommendResponse) {
-	if s.brk == nil {
-		return
-	}
-	sawSuccess := false
-	for i, err := range errs {
-		if results[i].canary {
-			// Candidate-routed elements are neutral either way: their
-			// failures roll the canary back, they must not open (or hold
-			// closed) the live breaker.
-			continue
-		}
-		switch {
-		case err == nil:
-			if !results[i].Cached {
-				sawSuccess = true
-			}
-		case errors.Is(err, ErrBackend), errors.Is(err, context.DeadlineExceeded):
-			s.brk.Record(adm, false)
-			return
-		}
-	}
-	if sawSuccess {
-		s.brk.Record(adm, true)
-		return
-	}
-	s.brk.Release(adm)
 }
 
 // validate checks one request's insight width, beam width, and intention.
@@ -872,9 +747,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		ModelVersion:  s.reg.Version(),
 		UptimeSeconds: time.Since(s.met.start).Seconds(),
 		QueueDepth:    int(s.gate.Queued()),
-	}
-	if s.brk != nil {
-		resp.Breaker = s.brk.State().String()
 	}
 	if worst := s.slo.Worst(); worst != slo.StateOK {
 		resp.SLO = worst.String()
@@ -988,6 +860,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // errStatus maps admission/registry errors to HTTP codes.
 func errStatus(err error) int {
 	switch {
+	case errors.Is(err, errNonFinite):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrBackend):

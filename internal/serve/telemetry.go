@@ -41,10 +41,7 @@ type Metrics struct {
 	qor          *obs.Histogram // insightalign_qor_logprob{model_version}
 	batch        *obs.Histogram // insightalign_batch_size
 	rejections   *obs.Counter   // insightalign_rejections_total{reason}
-	shed         *obs.Counter   // insightalign_serve_shed_total
 	cache        *obs.Counter   // insightalign_serve_cache_requests_total{result}
-	breakerTrans *obs.Counter   // insightalign_breaker_transitions_total{to}
-	breakerState *obs.Gauge     // insightalign_breaker_state
 
 	mu       sync.Mutex
 	versions []string // live model_version labels, least-recently-observed first
@@ -74,14 +71,8 @@ func NewMetrics(reg *obs.Registry, queueDepth func() int, modelVersion func() st
 			"Requests per decoder call (1: every request decodes on its own).", batchBounds),
 		rejections: reg.Counter("insightalign_rejections_total",
 			"Rejected requests by reason.", "reason"),
-		shed: reg.Counter("insightalign_serve_shed_total",
-			"Requests shed with 503 while the circuit breaker was open."),
 		cache: reg.Counter("insightalign_serve_cache_requests_total",
 			"Response-cache lookups by result (hit, miss, bypass).", "result"),
-		breakerTrans: reg.Counter("insightalign_breaker_transitions_total",
-			"Circuit breaker state transitions by destination state.", "to"),
-		breakerState: reg.Gauge("insightalign_breaker_state",
-			"Circuit breaker state (0 closed, 1 open, 2 half-open)."),
 	}
 	reg.GaugeFunc("insightalign_uptime_seconds",
 		"Time since the process-wide metrics registry was created.",
@@ -202,18 +193,6 @@ func (m *Metrics) ObserveRejection(reason string) {
 // inputs).
 func (m *Metrics) ObserveCache(result string) {
 	m.cache.Inc(result)
-}
-
-// ObserveShed records one request shed by the open circuit breaker.
-func (m *Metrics) ObserveShed() {
-	m.shed.Inc()
-}
-
-// ObserveBreakerTransition records one breaker state change and moves the
-// state gauge.
-func (m *Metrics) ObserveBreakerTransition(from, to BreakerState) {
-	m.breakerTrans.Inc(to.String())
-	m.breakerState.Set(float64(to))
 }
 
 // Exposition renders the backing registry's metrics page.
